@@ -59,8 +59,9 @@ stream-smoke:
 # subsystem, the joint multivariate detector and every baseline still
 # drive end to end, and that the multivariate pass stays bit-identical
 # to the sequential row-major oracle (the experiment exits non-zero on
-# divergence). -scenjson '' keeps the checked-in full-grid
-# BENCH_scenarios.json intact.
+# divergence). -scenjson '' leaves any full-grid BENCH_scenarios.json
+# from an earlier local run intact (BENCH_*.json files are gitignored,
+# not checked in).
 scenario-smoke:
 	$(GO) run ./cmd/cabd-bench -exp scenarios -smoke -scenjson ''
 

@@ -9,10 +9,10 @@ import (
 
 // bootstrapLabels builds the initial (hypothesis-based) training labels
 // for the candidates without any user input (Section IV, "Score
-// Evaluation"): the candidates are clustered into up to four groups with a
-// Gaussian Mixture over their score vectors, and each cluster receives a
-// label from the observed characteristics of Figure 3 and the three
-// decision rules:
+// Evaluation"). Each candidate is labeled by the conjunction of the
+// three decision rules of Figure 3 (see ruleClass), with thresholds
+// derived from the candidate set — its score medians and a
+// second-difference strength gate:
 //
 //  1. abnormal points have magnitude score below ~5% (single anomalies
 //     have MS = 0);
@@ -23,10 +23,10 @@ import (
 //
 // Change points and plain normal points both fail rule 3; they are told
 // apart by pattern rarity (a level shift's boundary shape is rare) and
-// neighborhood size.
-func bootstrapLabels(cands []Candidate, opts Options, rng *rand.Rand) []Class {
-	_ = opts
-	_ = rng
+// neighborhood size. The paper derives the labels from a Gaussian
+// Mixture clustering of the score space instead; here the mixture runs
+// only in ClusterScores (Figure 3). The rules consume no randomness.
+func bootstrapLabels(cands []Candidate) []Class {
 	labels := make([]Class, len(cands))
 	if len(cands) == 0 {
 		return labels

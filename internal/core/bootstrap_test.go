@@ -99,7 +99,7 @@ func TestStrongZFloor(t *testing.T) {
 }
 
 func TestBootstrapLabelsEmpty(t *testing.T) {
-	got := bootstrapLabels(nil, Options{}.defaults(), rand.New(rand.NewSource(1)))
+	got := bootstrapLabels(nil)
 	if len(got) != 0 {
 		t.Errorf("empty candidates produced labels: %v", got)
 	}

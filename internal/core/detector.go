@@ -37,7 +37,7 @@ func NewDetector(opts Options) *Detector {
 func (d *Detector) Options() Options { return d.opts }
 
 // Detect runs the unsupervised pipeline: candidate estimation, score
-// computation, GMM-bootstrapped classification. No oracle is consulted.
+// computation, rule-bootstrapped classification. No oracle is consulted.
 func (d *Detector) Detect(s *series.Series) *Result {
 	res, _ := d.DetectCtx(context.Background(), s)
 	return res
@@ -248,7 +248,7 @@ func (d *Detector) evaluateCtx(ctx context.Context, cands []Candidate, n int, o 
 	// Step 3: score evaluation — bootstrap pseudo-labels, then classify.
 	var pseudo []Class
 	t.Do(obs.StageBootstrap, func() {
-		pseudo = bootstrapLabels(cands, d.opts, rng)
+		pseudo = bootstrapLabels(cands)
 	})
 	trueLabels := make(map[int]Class) // candidate position -> oracle class
 	t.Do(obs.StageClassify, func() {
@@ -343,9 +343,10 @@ type clsScratch struct {
 // run's Result can expose the final model for checkpointing.
 //
 // The default path trains over the SoA feature matrix with per-tree
-// parallelism and classifies all candidates through one tree-major
-// batch pass; Options.SeqOracle selects the sequential row-major
-// reference path instead, which must produce bit-identical results.
+// parallelism and classifies all candidates through one fused
+// tree-major pass (full and out-of-bag distributions together);
+// Options.SeqOracle selects the sequential row-major reference path
+// instead, which must produce bit-identical results.
 func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
 	n := len(cands)
 	if cap(scr.y) < n {
@@ -390,8 +391,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 	if fr == nil {
 		return nil
 	}
-	scr.full = fr.PredictProbaBatch(m, scr.full)
-	scr.oob = fr.PredictProbaOOBBatch(m, scr.oob)
+	scr.full, scr.oob = fr.PredictProbaAndOOB(m, scr.full, scr.oob)
 	for i := range cands {
 		if cls, ok := trueLabels[i]; ok {
 			cands[i].Class = cls

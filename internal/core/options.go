@@ -2,9 +2,9 @@
 // point/Break point Detection algorithm of the paper (Section IV):
 // candidate estimation from the MAD of the absolute second difference,
 // INN-based score computation (Magnitude, Correlation, Variance),
-// probabilistic classification bootstrapped by unsupervised GMM
-// clustering, and the CAL uncertainty-sampling active-learning loop
-// terminated by a user-chosen minimum confidence.
+// probabilistic classification bootstrapped by the unsupervised
+// decision rules of Figure 3, and the CAL uncertainty-sampling
+// active-learning loop terminated by a user-chosen minimum confidence.
 package core
 
 import (

@@ -108,6 +108,24 @@ func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	if &again[0] != &batch[0] {
 		t.Fatal("batch buffer was reallocated despite sufficient capacity")
 	}
+	// The fused pass's full distribution is the same per-row oracle, and
+	// it reuses both buffers (filled with stale values here).
+	for i := range again {
+		again[i] = -1
+	}
+	oobBuf := make([]float64, len(again))
+	full, oob := f.PredictProbaAndOOB(m, again, oobBuf)
+	if &full[0] != &again[0] || &oob[0] != &oobBuf[0] {
+		t.Fatal("fused pass reallocated buffers despite sufficient capacity")
+	}
+	for i, row := range probe {
+		want := f.PredictProba(row)
+		got := full[i*3 : i*3+3]
+		//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracle
+		if got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Fatalf("row %d: fused full %v, per-row %v", i, got, want)
+		}
+	}
 }
 
 // TestPredictProbaOOBBatchMatchesPerRow covers the out-of-bag batch pass
@@ -124,6 +142,7 @@ func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
 
 	m := RowMajor(X)
 	batch := f.PredictProbaOOBBatch(m, nil)
+	full, oob := f.PredictProbaAndOOB(m, nil, nil)
 	sawFallback := false
 	for i, row := range X {
 		voters := 0
@@ -136,10 +155,15 @@ func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
 			sawFallback = true
 		}
 		want := f.PredictProbaOOB(i, row)
-		got := batch[i*2 : i*2+2]
+		wantFull := f.PredictProba(row)
+		got, gotOOB, gotFull := batch[i*2:i*2+2], oob[i*2:i*2+2], full[i*2:i*2+2]
 		//cabd:lint-ignore floateq the batch contract is bit-identity with the per-row oracle
 		if got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("row %d (voters=%d): batch %v, per-row %v", i, voters, got, want)
+		}
+		//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracles
+		if gotOOB[0] != want[0] || gotOOB[1] != want[1] || gotFull[0] != wantFull[0] || gotFull[1] != wantFull[1] {
+			t.Fatalf("row %d (voters=%d): fused oob %v full %v, per-row %v %v", i, voters, gotOOB, gotFull, want, wantFull)
 		}
 	}
 	if !sawFallback {

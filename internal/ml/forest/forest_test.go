@@ -154,6 +154,64 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// classifierShape is the detector's training problem: about 175
+// candidates with 4 features, 3 classes and square-root class-balancing
+// weights, trained with 100 trees and MinLeaf 3.
+func classifierShape() (Matrix, []int, []float64, Config) {
+	X, y := gaussData(rand.New(rand.NewSource(31)), 175, 4, 3)
+	w := make([]float64, len(y))
+	for i := range w {
+		w[i] = 1 + float64(y[i])/2
+	}
+	return RowMajor(X), y, w, Config{Trees: 100, MinLeaf: 3, NumClasses: 3}
+}
+
+// TestTrainAllocContract holds training to its allocation budget: per
+// tree only the node array, the leaf-distribution backing slice and the
+// in-bag mask; per worker its builder scratch; per call the presorted
+// orders, the sampler and the result headers. A per-node or per-leaf
+// allocation would cost dozens more per tree at this shape.
+func TestTrainAllocContract(t *testing.T) {
+	m, y, w, cfg := classifierShape()
+	const perTree, perWorker, perCall = 3, 20, 20
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		allocs := testing.AllocsPerRun(3, func() {
+			TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(1)))
+		})
+		if limit := float64(perTree*cfg.Trees + perWorker*workers + perCall); allocs > limit {
+			t.Errorf("workers=%d: %v allocs per training, budget %v", workers, allocs, limit)
+		}
+	}
+}
+
+// sinkForest keeps benchmarked training results alive.
+var sinkForest *Forest
+
+// BenchmarkTrainClassifier trains at the detector's shape, the cost of
+// one active-learning round's retraining.
+func BenchmarkTrainClassifier(b *testing.B) {
+	m, y, w, cfg := classifierShape()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkForest = TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(2)))
+	}
+}
+
+// BenchmarkPredictProbaAndOOB is the fused inference pass at the
+// detector's shape: full and out-of-bag distributions of every
+// training row.
+func BenchmarkPredictProbaAndOOB(b *testing.B) {
+	m, y, w, cfg := classifierShape()
+	f := TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(2)))
+	full, oob := f.PredictProbaAndOOB(m, nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		full, oob = f.PredictProbaAndOOB(m, full, oob)
+	}
+}
+
 func BenchmarkPredictProba(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := xorData(rng, 500)

@@ -34,19 +34,6 @@ func RowMajor(X [][]float64) Matrix {
 // NumFeatures returns the feature count (the number of columns).
 func (m Matrix) NumFeatures() int { return len(m.Cols) }
 
-// Row materializes row i into dst (grown as needed) and returns it —
-// the row-major view used by the per-row differential oracle paths.
-func (m Matrix) Row(dst []float64, i int) []float64 {
-	if cap(dst) < len(m.Cols) {
-		dst = make([]float64, len(m.Cols))
-	}
-	dst = dst[:len(m.Cols)]
-	for f, col := range m.Cols {
-		dst[f] = col[i]
-	}
-	return dst
-}
-
 // valid reports whether the matrix is rectangular with N rows.
 func (m Matrix) valid() bool {
 	for _, col := range m.Cols {
