@@ -48,9 +48,10 @@ serve-smoke:
 agent-smoke:
 	./scripts/agent_smoke.sh
 
-# Smoke-scale run of the streaming benchmark: the incremental engine
-# must emit detections bit-identical to the full-rerun oracle at every
-# window size (the experiment exits non-zero on divergence).
+# Smoke-scale run of the streaming benchmark: at every window size a
+# stream checkpointed halfway (State through JSON, then ResumeStream)
+# must emit exactly the detections of the uninterrupted stream (the
+# experiment exits non-zero on divergence).
 stream-smoke:
 	$(GO) run ./cmd/cabd-bench -exp stream -streamjson BENCH_stream.json
 

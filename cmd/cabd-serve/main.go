@@ -46,7 +46,6 @@ func main() {
 		shards       = flag.Int("stream-shards", 0, "stream registry shard count (0 keeps the server default)")
 		mailbox      = flag.Int("stream-mailbox", 0, "per-shard mailbox depth; a full mailbox sheds with 429 (0 keeps the server default)")
 		hopTimeout   = flag.Duration("stream-hop-timeout", 0, "per-hop analysis deadline inside streaming detectors (0 disables)")
-		fullEngine   = flag.Bool("stream-full-rerun", false, "use the full-rerun stream engine instead of the incremental one (differential-oracle mode)")
 		sessionTTL   = flag.Duration("session-ttl", 10*time.Minute, "idle session eviction horizon")
 		streamTTL    = flag.Duration("stream-ttl", 10*time.Minute, "idle stream eviction horizon")
 		janitorEvery = flag.Duration("janitor-every", 30*time.Second, "idle-eviction sweep period (negative disables the janitor)")
@@ -58,10 +57,6 @@ func main() {
 	flag.Parse()
 
 	opts := cabd.Options{Confidence: *confidence, Seed: *seed}
-	engine := cabd.StreamEngineIncremental
-	if *fullEngine {
-		engine = cabd.StreamEngineFull
-	}
 	srv, err := server.New(server.Config{
 		Options:             opts,
 		Workers:             *workers,
@@ -75,7 +70,6 @@ func main() {
 		StreamShards:        *shards,
 		StreamMailbox:       *mailbox,
 		StreamHopTimeout:    *hopTimeout,
-		StreamEngine:        engine,
 		SessionTTL:          *sessionTTL,
 		StreamTTL:           *streamTTL,
 		JanitorEvery:        *janitorEvery,

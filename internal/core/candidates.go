@@ -17,10 +17,7 @@ import (
 //
 // The analysis runs on the raw values: the robust z of ∂ is invariant
 // under the affine standardization of Equation 2 (both the median offset
-// and the MAD scale cancel), so standardizing first buys nothing — and
-// skipping it lets the streaming engine maintain the ∂ order statistics
-// across window slides, where the per-hop (μ, σ) frame would otherwise
-// perturb every stored value.
+// and the MAD scale cancel), so standardizing first buys nothing.
 func candidateIndices(s *series.Series, z float64) (idx []int, zscores []float64) {
 	d2 := series.SecondDiff(s.Values)
 	rz := stats.RobustZ(d2)
@@ -47,9 +44,7 @@ func candidateIndices(s *series.Series, z float64) (idx []int, zscores []float64
 
 // topDeviations returns the indices of the k largest second differences,
 // sorted by index. Ties are broken toward the smaller index so the
-// selected set is a deterministic function of the values — the streaming
-// engine reproduces this selection from an order-statistic tree and must
-// arrive at the identical set.
+// selected set is a deterministic function of the values.
 func topDeviations(d2 []float64, k int) []int {
 	if k < 1 {
 		k = 1

@@ -58,49 +58,17 @@ func (d *Detector) DetectActive(s *series.Series, o Labeler) *Result {
 // round) and a cancelled or expired context returns ctx.Err() promptly.
 // A context deadline also arms graceful degradation — see Result.Degraded.
 func (d *Detector) DetectCtx(ctx context.Context, s *series.Series) (*Result, error) {
-	return d.run(ctx, s, nil, nil)
+	return d.run(ctx, s, nil)
 }
 
 // DetectActiveCtx is DetectActive with cancellation; the context is
 // additionally checked between active-learning rounds, so a slow human
 // labeler cannot wedge a cancelled run.
 func (d *Detector) DetectActiveCtx(ctx context.Context, s *series.Series, o Labeler) (*Result, error) {
-	return d.run(ctx, s, o, nil)
+	return d.run(ctx, s, o)
 }
 
-// Env supplies externally maintained pipeline substrates. The batch path
-// rebuilds every stage from scratch per series; a streaming caller that
-// maintains the same state incrementally across window slides plugs its
-// rolling structures in here, and the orchestration, scoring and
-// classification code is shared verbatim — the two paths cannot drift
-// apart, because they are the same code fed by different substrates.
-//
-// Every hook is optional (nil falls back to the batch computation), but a
-// hook that is supplied must answer exactly as the batch stage would for
-// the same series: Candidates like candidateIndices on the raw values,
-// Computer like inn.FromSeries over the standardized embedding, Frequency
-// like sax.Frequency over the sliding word corpus of the raw values.
-type Env struct {
-	// Candidates returns the candidate indices and their robust z-scores
-	// (what candidateIndices computes from the raw series).
-	Candidates func() (idx []int, zscores []float64)
-	// Computer answers INN rank probes over the standardized 2-D
-	// embedding of the current window.
-	Computer *inn.Computer
-	// Frequency returns the fraction of length-wlen windows whose SAX
-	// word equals word (what sax.Frequency over SlidingWords computes).
-	Frequency func(wlen int, word string) float64
-}
-
-// DetectEnvCtx is DetectCtx with caller-maintained substrates: candidate
-// generation, neighbor search and word-frequency lookups are answered by
-// env instead of being recomputed from the series. The streaming engine
-// (internal/stream/incremental) is the intended caller.
-func (d *Detector) DetectEnvCtx(ctx context.Context, s *series.Series, env *Env) (*Result, error) {
-	return d.run(ctx, s, nil, env)
-}
-
-func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *Env) (*Result, error) {
+func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Result, error) {
 	t := d.opts.Obs.NewTrace()
 	res := &Result{Strategy: d.opts.Strategy}
 	n := s.Len()
@@ -114,19 +82,14 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *En
 	// Standardization (Equation 2) feeds exactly one consumer: the 2-D
 	// embedding the INN distances are measured in. Candidate estimation,
 	// SAX words and the variance ratio are affine-invariant, so they run
-	// on the raw values — which is what lets a streaming caller maintain
-	// them incrementally across window slides (see Env).
+	// on the raw values and never pay for a standardized copy.
 	zs := &series.Series{Name: s.Name, Values: stats.Standardize(s.Values)}
 
 	// Step 1: candidate estimation.
 	var idx []int
 	var zscores []float64
 	t.Do(obs.StageCandidates, func() {
-		if env != nil && env.Candidates != nil {
-			idx, zscores = env.Candidates()
-		} else {
-			idx, zscores = candidateIndices(s, d.opts.CandidateZ)
-		}
+		idx, zscores = candidateIndices(s, d.opts.CandidateZ)
 	})
 	if len(idx) == 0 {
 		res.Stages = t.Timings()
@@ -153,16 +116,7 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *En
 
 	// Step 2: score computation (parallel, Algorithm 3). The scorer may
 	// degrade further when the context deadline leaves no headroom.
-	comp := (*inn.Computer)(nil)
-	if env != nil && env.Computer != nil {
-		comp = env.Computer
-	} else {
-		comp = inn.FromSeries(zs)
-	}
-	sc := newScorer(s.Values, comp, opts)
-	if env != nil && env.Frequency != nil {
-		sc.freq = env.Frequency
-	}
+	sc := newScorer(s.Values, inn.FromSeries(zs), opts)
 	// The scorer's SoA feature matrix comes from a pool; hand it back
 	// once evaluation no longer reads the columns.
 	defer func() { putFeatMatrix(sc.feats) }()

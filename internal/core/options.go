@@ -75,7 +75,10 @@ type Options struct {
 	XChannelCorr bool
 
 	// SAXSegments / SAXAlphabet parameterize the correlation score's
-	// symbolic representation (Definitions 6-8). Defaults 3 and 3 (a coarse word space keeps common shapes genuinely frequent).
+	// symbolic representation (Definitions 6-8). Defaults 3 and 3 (a
+	// coarse word space keeps common shapes genuinely frequent). An
+	// alphabet below 2 has no breakpoints — every word would be all
+	// 'a' — so it resolves to the default like 0 does.
 	SAXSegments int
 	SAXAlphabet int
 
@@ -141,7 +144,7 @@ func (o Options) defaults() Options {
 	if o.SAXSegments <= 0 {
 		o.SAXSegments = 3
 	}
-	if o.SAXAlphabet <= 0 {
+	if o.SAXAlphabet < 2 {
 		o.SAXAlphabet = 3
 	}
 	if o.Confidence <= 0 {

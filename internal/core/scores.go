@@ -19,12 +19,11 @@ import (
 // the Computer (which measures distances in the standardized embedding)
 // ever sees standardized data.
 type scorer struct {
-	opts     Options
-	values   []float64 // raw values
-	comp     *inn.Computer
-	tlim     int              // pruned search range
-	corpus   map[int][]string // sliding SAX words keyed by window length
-	corpusMu sync.Mutex
+	opts    Options
+	values  []float64 // raw values
+	comp    *inn.Computer
+	tlim    int          // pruned search range
+	corpora *sax.Corpora // counted SAX words of values, per window length
 
 	// resolved is the neighborhood strategy scoring actually ran with.
 	// scoreAll fixes it BEFORE the worker pool starts — the deadline
@@ -37,12 +36,6 @@ type scorer struct {
 	// writes only row i). The classifier trains and batch-infers over
 	// these columns; Candidate.features stays as the row-major oracle.
 	feats *featMatrix
-
-	// freq, when set, answers word-frequency lookups instead of the
-	// sliding-corpus cache — the streaming engine's rolling corpus hook
-	// (core.Env.Frequency). It must be safe for concurrent use: scoreAll
-	// workers call it in parallel.
-	freq func(wlen int, word string) float64
 
 	// clk times the deadline pilot. It comes from the run's obs recorder
 	// (obs.Wall when none is installed), so a FakeClock recorder makes
@@ -64,7 +57,7 @@ func newScorer(values []float64, comp *inn.Computer, opts Options) *scorer {
 		comp:     comp.WithRankMemo(0),
 		values:   values,
 		tlim:     comp.RangeLimit(opts.RangeFrac),
-		corpus:   make(map[int][]string),
+		corpora:  sax.NewCorpora(values, opts.SAXSegments, opts.SAXAlphabet),
 		clk:      opts.Obs.Clock(),
 		resolved: opts.Strategy,
 	}
@@ -150,14 +143,8 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	if whi > n {
 		whi = n
 	}
-	wlen := whi - wlo
-	if wlen >= 2 && wlen <= n/2 {
-		word := sax.Word(sc.values[wlo:whi], sc.opts.SAXSegments, sc.opts.SAXAlphabet)
-		if sc.freq != nil {
-			c.Correlation = sc.freq(wlen, word)
-		} else {
-			c.Correlation = sax.Frequency(sc.corpusFor(wlen), word)
-		}
+	if wlen := whi - wlo; wlen >= 2 && wlen <= n/2 {
+		c.Correlation = sc.corpora.Frequency(wlo, whi)
 	} else {
 		// Degenerate or series-scale windows occur everywhere.
 		c.Correlation = 1
@@ -193,20 +180,6 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 		vs = 1
 	}
 	c.Variance = vs
-}
-
-// corpusFor returns the sliding SAX words of the whole series at window
-// length w, cached per length. Candidates in the same series often share
-// pattern sizes, so the cache hit rate is high.
-func (sc *scorer) corpusFor(w int) []string {
-	sc.corpusMu.Lock()
-	defer sc.corpusMu.Unlock()
-	if words, ok := sc.corpus[w]; ok {
-		return words
-	}
-	words := sax.SlidingWords(sc.values, w, sc.opts.SAXSegments, sc.opts.SAXAlphabet)
-	sc.corpus[w] = words
-	return words
 }
 
 // scoreAll computes the metric for every candidate in parallel (the

@@ -1,9 +1,10 @@
-// Package streambench measures the streaming detection path: the
-// incremental per-hop engine against the full-rerun oracle (cost and
-// detection equality), per-point cost flatness over stream position,
-// many-stream memory bounds, and the sharded stream registry over
-// loopback HTTP. Like servebench it lives beside internal/experiments
-// because it imports the cabd facade and internal/server.
+// Package streambench measures the streaming detection path: per-point
+// cost per window size and its flatness over stream position, the
+// checkpoint/resume contract (a stream resumed from a JSON-round-tripped
+// State emits what the uninterrupted stream emits), many-stream memory
+// bounds, and the sharded stream registry over loopback HTTP. Like
+// servebench it lives beside internal/experiments because it imports the
+// cabd facade and internal/server.
 package streambench
 
 import (
@@ -38,16 +39,14 @@ func fprintf(w io.Writer, format string, args ...interface{}) {
 // fields take smoke-scale defaults.
 type StreamBenchConfig struct {
 	// Windows are the analysis-window sizes of the per-point cost leg
-	// (default 64, 128, 256). The incremental engine's per-point cost
-	// should stay near-flat across them while the full-rerun engine's
-	// grows with the window.
+	// (default 64, 128, 256).
 	Windows []int
 	// HopsPer sets the cost leg's stream length as Window*HopsPer
 	// (default 12), long enough that steady-state hops dominate.
 	HopsPer int
 	// Streams and PerStream size the many-stream scale leg: Streams
-	// live incremental detectors (default 192; -full runs 100000) each
-	// fed PerStream observations round-robin (default 96).
+	// live detectors (default 192; -full runs 100000) each fed
+	// PerStream observations round-robin (default 96).
 	Streams   int
 	PerStream int
 	// Registry and Conc size the HTTP registry leg: Registry streams
@@ -78,27 +77,27 @@ func (c StreamBenchConfig) defaults() StreamBenchConfig {
 	return c
 }
 
-// CostRow is one window size of the incremental-versus-full cost leg.
+// CostRow is one window size of the cost leg.
 type CostRow struct {
 	Window int `json:"window"`
 	Points int `json:"points"`
-	// IncUsPerPoint and FullUsPerPoint are mean per-point costs in
-	// microseconds for the incremental and full-rerun engines.
-	IncUsPerPoint  float64 `json:"inc_us_per_point"`
-	FullUsPerPoint float64 `json:"full_us_per_point"`
-	// IncFirstHalfUs and IncSecondHalfUs split the incremental run by
-	// stream position: near-equal halves show per-point work does not
-	// grow with stream length.
-	IncFirstHalfUs  float64 `json:"inc_first_half_us"`
-	IncSecondHalfUs float64 `json:"inc_second_half_us"`
-	// Detections counts emitted detections (both engines, which must
-	// agree); Equal is the differential-oracle verdict.
-	Detections int  `json:"detections"`
-	Equal      bool `json:"equal"`
+	// UsPerPoint is the mean per-point cost in microseconds.
+	UsPerPoint float64 `json:"us_per_point"`
+	// FirstHalfUs and SecondHalfUs split the run by stream position:
+	// near-equal halves show per-point work does not grow with stream
+	// length.
+	FirstHalfUs  float64 `json:"first_half_us"`
+	SecondHalfUs float64 `json:"second_half_us"`
+	// Detections counts the uninterrupted run's emitted detections.
+	// ResumeEqual is the checkpoint verdict: a second run checkpointed
+	// at the halfway point (State through JSON, then ResumeStream)
+	// emitted exactly the same detections.
+	Detections  int  `json:"detections"`
+	ResumeEqual bool `json:"resume_equal"`
 }
 
 // ScaleResult is the many-stream leg: memory and throughput with
-// Streams live incremental detectors fed round-robin.
+// Streams live detectors fed round-robin.
 type ScaleResult struct {
 	Streams        int     `json:"streams"`
 	PerStream      int     `json:"per_stream"`
@@ -130,7 +129,7 @@ type StreamResult struct {
 }
 
 // chaosStream builds a deterministic corrupted test stream: a synthetic
-// labeled series run through the fault injector so both engines see
+// labeled series run through the fault injector, so the detector sees
 // NaNs, spikes and stuck-at runs on top of real anomalies.
 func chaosStream(seed int64, n int) []float64 {
 	s := synth.YahooLike(seed, n)
@@ -151,55 +150,69 @@ func StreamBench(cfg StreamBenchConfig) StreamResult {
 	return res
 }
 
-// costLeg pushes the same corrupted stream through the incremental and
-// full-rerun engines and times both. The two detection sequences must
-// be identical — the full rerun is the incremental engine's oracle.
+// costLeg times one corrupted stream at one window size, then replays
+// it with a checkpoint at the halfway point: the first half goes into a
+// fresh detector, its State makes a JSON round trip into ResumeStream,
+// and the rest goes into the resumed detector. Both runs must emit the
+// same detections — the contract the agent's crash recovery rests on.
 func costLeg(window, points int) CostRow {
 	row := CostRow{Window: window, Points: points}
 	vals := chaosStream(11, points)
-	mk := func(e cabd.StreamEngine) *cabd.StreamDetector {
-		return cabd.NewStream(cabd.StreamConfig{
-			Window:  window,
-			Hop:     window / 8,
-			Margin:  window / 16,
-			Engine:  e,
-			Options: cabd.Options{Seed: 42},
-		})
+	cfg := cabd.StreamConfig{
+		Window:  window,
+		Hop:     window / 8,
+		Margin:  window / 16,
+		Options: cabd.Options{Seed: 42},
 	}
 
-	inc := mk(cabd.StreamEngineIncremental)
-	var incDets []cabd.StreamDetection
+	d := cabd.NewStream(cfg)
+	var want []cabd.StreamDetection
 	half := len(vals) / 2
 	t0 := clk.Now()
 	for _, v := range vals[:half] {
-		incDets = append(incDets, inc.Push(v)...)
+		want = append(want, d.Push(v)...)
 	}
 	t1 := clk.Now()
 	for _, v := range vals[half:] {
-		incDets = append(incDets, inc.Push(v)...)
+		want = append(want, d.Push(v)...)
 	}
 	t2 := clk.Now()
-	incDets = append(incDets, inc.Flush()...)
-	row.IncFirstHalfUs = t1.Sub(t0).Seconds() * 1e6 / float64(half)
-	row.IncSecondHalfUs = t2.Sub(t1).Seconds() * 1e6 / float64(len(vals)-half)
-	row.IncUsPerPoint = t2.Sub(t0).Seconds() * 1e6 / float64(len(vals))
+	want = append(want, d.Flush()...)
+	row.FirstHalfUs = t1.Sub(t0).Seconds() * 1e6 / float64(half)
+	row.SecondHalfUs = t2.Sub(t1).Seconds() * 1e6 / float64(len(vals)-half)
+	row.UsPerPoint = t2.Sub(t0).Seconds() * 1e6 / float64(len(vals))
+	row.Detections = len(want)
 
-	full := mk(cabd.StreamEngineFull)
-	var fullDets []cabd.StreamDetection
-	f0 := clk.Now()
-	for _, v := range vals {
-		fullDets = append(fullDets, full.Push(v)...)
-	}
-	f1 := clk.Now()
-	fullDets = append(fullDets, full.Flush()...)
-	row.FullUsPerPoint = f1.Sub(f0).Seconds() * 1e6 / float64(len(vals))
-
-	row.Detections = len(incDets)
-	row.Equal = reflect.DeepEqual(incDets, fullDets)
+	got, err := resumedRun(cfg, vals, half)
+	row.ResumeEqual = err == nil && reflect.DeepEqual(got, want)
 	return row
 }
 
-// scaleLeg holds Streams live incremental detectors and feeds them
+// resumedRun pushes vals[:cut] into a fresh detector, checkpoints it
+// through JSON, and pushes the rest into the resumed detector; it
+// returns every detection both detectors emitted, Flush included.
+func resumedRun(cfg cabd.StreamConfig, vals []float64, cut int) ([]cabd.StreamDetection, error) {
+	d := cabd.NewStream(cfg)
+	var out []cabd.StreamDetection
+	for _, v := range vals[:cut] {
+		out = append(out, d.Push(v)...)
+	}
+	buf, err := json.Marshal(d.State())
+	if err != nil {
+		return nil, err
+	}
+	var st cabd.StreamState
+	if err := json.Unmarshal(buf, &st); err != nil {
+		return nil, err
+	}
+	r := cabd.ResumeStream(cfg, st)
+	for _, v := range vals[cut:] {
+		out = append(out, r.Push(v)...)
+	}
+	return append(out, r.Flush()...), nil
+}
+
+// scaleLeg holds Streams live detectors and feeds them
 // round-robin — the worst interleaving for cache locality and the honest
 // shape of a many-stream deployment. Heap growth is measured across the
 // whole leg and amortized per stream.
@@ -309,13 +322,17 @@ func registryLeg(streams, conc int) RegistryResult {
 
 // PrintStream renders the streaming benchmark.
 func PrintStream(w io.Writer, r StreamResult) {
-	fprintf(w, "Streaming benchmark: incremental engine vs full rerun\n")
-	fprintf(w, "%8s %8s %12s %12s %10s %10s %6s %6s\n",
-		"window", "points", "inc us/pt", "full us/pt", "1st-half", "2nd-half", "dets", "equal")
+	fprintf(w, "Streaming benchmark: per-point cost and checkpoint/resume equality\n")
+	fprintf(w, "%8s %8s %10s %10s %10s %6s %7s\n",
+		"window", "points", "us/pt", "1st-half", "2nd-half", "dets", "resume")
 	for _, c := range r.Cost {
-		fprintf(w, "%8d %8d %12.2f %12.2f %10.2f %10.2f %6d %6v\n",
-			c.Window, c.Points, c.IncUsPerPoint, c.FullUsPerPoint,
-			c.IncFirstHalfUs, c.IncSecondHalfUs, c.Detections, c.Equal)
+		resume := "equal"
+		if !c.ResumeEqual {
+			resume = "DIFF"
+		}
+		fprintf(w, "%8d %8d %10.2f %10.2f %10.2f %6d %7s\n",
+			c.Window, c.Points, c.UsPerPoint, c.FirstHalfUs, c.SecondHalfUs,
+			c.Detections, resume)
 	}
 	fprintf(w, "scale: %d streams x %d points (window %d hop %d): %.0f pts/s, %d B/stream, %d detections\n",
 		r.Scale.Streams, r.Scale.PerStream, r.Scale.Window, r.Scale.Hop,

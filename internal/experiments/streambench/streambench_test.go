@@ -6,8 +6,9 @@ import (
 )
 
 // TestStreamBenchSmoke runs the whole benchmark at tiny scale: the
-// differential oracle must hold at every window, every leg must move
-// points, and the registry leg must finish clean.
+// checkpoint/resume run must match the uninterrupted run at every
+// window, every leg must move points, and the registry leg must finish
+// clean.
 func TestStreamBenchSmoke(t *testing.T) {
 	res := StreamBench(StreamBenchConfig{
 		Windows:   []int{32, 64},
@@ -21,8 +22,11 @@ func TestStreamBenchSmoke(t *testing.T) {
 		t.Fatalf("cost rows = %d, want 2", len(res.Cost))
 	}
 	for _, c := range res.Cost {
-		if !c.Equal {
-			t.Errorf("window %d: incremental and full-rerun detections differ", c.Window)
+		if !c.ResumeEqual {
+			t.Errorf("window %d: resumed stream diverged from the uninterrupted one", c.Window)
+		}
+		if c.UsPerPoint <= 0 || c.FirstHalfUs <= 0 || c.SecondHalfUs <= 0 {
+			t.Errorf("window %d: untimed cost row %+v", c.Window, c)
 		}
 		if c.Detections == 0 {
 			t.Errorf("window %d: chaos stream produced no detections", c.Window)
@@ -43,7 +47,7 @@ func TestStreamBenchSmoke(t *testing.T) {
 
 	var sb strings.Builder
 	PrintStream(&sb, res)
-	for _, frag := range []string{"inc us/pt", "scale:", "registry:"} {
+	for _, frag := range []string{"us/pt", "resume", "scale:", "registry:"} {
 		if !strings.Contains(sb.String(), frag) {
 			t.Errorf("rendered benchmark missing %q", frag)
 		}

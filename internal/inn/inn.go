@@ -62,12 +62,11 @@ const LegacyEngineEnv = "CABD_INN_ENGINE"
 // over the point set identified by indices 0..Len()-1 and the documented
 // (distance, index) neighbor order.
 //
-// The static implementation wraps a KD-tree over a fixed point slice; the
-// streaming engine supplies a sliding-window tree whose coordinates are
-// standardized on the fly through the current window frame. Both must
-// answer identically for the same logical point set — rank counting and
-// k-NN sets are functions of the points and the metric, not of the index
-// structure, which is what makes the engines differentially testable.
+// The static implementation wraps a KD-tree over a fixed point slice.
+// Any other implementation must answer identically for the same logical
+// point set — rank counting and k-NN sets are functions of the points and
+// the metric, not of the index structure — so a different tree can be
+// swapped in and tested against the static one.
 type Index interface {
 	// Len returns the number of indexed points.
 	Len() int
@@ -124,10 +123,9 @@ func NewComputer(pts [][2]float64) *Computer {
 	return NewComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
 }
 
-// NewComputerOver wraps a caller-supplied Index — the hook through which
-// the streaming engine runs the unmodified Algorithm 5 neighborhood logic
-// over its sliding-window tree. The same CABD_INN_ENGINE=legacy escape
-// hatch applies.
+// NewComputerOver wraps a caller-supplied Index, running the unmodified
+// Algorithm 5 neighborhood logic over another neighbor structure. The
+// same CABD_INN_ENGINE=legacy escape hatch applies.
 func NewComputerOver(idx Index) *Computer {
 	return &Computer{
 		idx:    idx,

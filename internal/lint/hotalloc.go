@@ -9,7 +9,7 @@ import (
 
 // hotpathMarker annotates a function whose body must not allocate: the
 // scoring workers, the SoA matrix fill, tree-major forest inference and
-// the incremental stream engine's per-point path (see DESIGN.md).
+// the SAX word encoder (see DESIGN.md).
 const hotpathMarker = "cabd:hotpath"
 
 var analyzerHotalloc = &Analyzer{

@@ -230,11 +230,14 @@ func (d *Detector) run(ctx context.Context, s *Series, o core.Labeler) (*core.Re
 	pts := embed(std)
 	comp := inn.NewNComputer(pts).WithRankMemo(0)
 	sc := &mscorer{
-		opts:   d.opts,
-		std:    std,
-		comp:   comp,
-		tlim:   comp.RangeLimit(d.opts.RangeFrac),
-		corpus: make(map[corpusKey][]string),
+		opts:    d.opts,
+		std:     std,
+		comp:    comp,
+		tlim:    comp.RangeLimit(d.opts.RangeFrac),
+		corpora: make([]*sax.Corpora, len(std)),
+	}
+	for k, ch := range std {
+		sc.corpora[k] = sax.NewCorpora(ch, d.opts.SAXSegments, d.opts.SAXAlphabet)
 	}
 	var scoreErr error
 	t.Do(obs.StageINNScore, func() {
@@ -278,22 +281,16 @@ func (d *Detector) run(ctx context.Context, s *Series, o core.Labeler) (*core.Re
 	return res, nil
 }
 
-// corpusKey addresses the sliding-word cache: SAX corpora are per
-// triggering dimension and window length.
-type corpusKey struct{ dim, wlen int }
-
 // mscorer carries the shared state of one multivariate scoring pass.
-// Workers write only their own candidate slot; the corpus cache is the
-// single shared mutable structure and is mutex-guarded (its content is
-// a pure function of the key, so cache-fill races cannot change
-// results).
+// Workers write only their own candidate slot; the per-channel counted
+// corpora are the only shared mutable structures, and they are safe for
+// concurrent use (a table is a pure function of its channel and length).
 type mscorer struct {
-	opts     core.Options
-	std      [][]float64
-	comp     *inn.NComputer
-	tlim     int
-	corpusMu sync.Mutex
-	corpus   map[corpusKey][]string
+	opts    core.Options
+	std     [][]float64
+	comp    *inn.NComputer
+	tlim    int
+	corpora []*sax.Corpora // one per standardized channel
 }
 
 // scoreAll grows each candidate's neighborhood and fills its scores in
@@ -383,8 +380,7 @@ func (sc *mscorer) score(c *core.Candidate, trigger int) {
 		whi = n
 	}
 	if wlen := whi - wlo; wlen >= 2 && wlen <= n/2 {
-		word := sax.Word(sc.std[trigger][wlo:whi], sc.opts.SAXSegments, sc.opts.SAXAlphabet)
-		c.Correlation = sax.Frequency(sc.corpusFor(trigger, wlen), word)
+		c.Correlation = sc.corpora[trigger].Frequency(wlo, whi)
 	} else {
 		c.Correlation = 1
 	}
@@ -467,22 +463,6 @@ func (sc *mscorer) xcorr(index, ss int) float64 {
 		x = 1
 	}
 	return x
-}
-
-// corpusFor returns the sliding SAX words of dimension dim at window
-// length wlen, cached per (dim, wlen). Candidates in the same series
-// often share pattern sizes, so the hit rate is high; the cache is the
-// reason a 200-candidate run does not recompute the corpus 200 times.
-func (sc *mscorer) corpusFor(dim, wlen int) []string {
-	key := corpusKey{dim, wlen}
-	sc.corpusMu.Lock()
-	defer sc.corpusMu.Unlock()
-	if words, ok := sc.corpus[key]; ok {
-		return words
-	}
-	words := sax.SlidingWords(sc.std[dim], wlen, sc.opts.SAXSegments, sc.opts.SAXAlphabet)
-	sc.corpus[key] = words
-	return words
 }
 
 // topByZ keeps the k strongest candidates (guard against MAD collapse).

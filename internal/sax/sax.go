@@ -2,11 +2,14 @@
 // Definition 6) and Symbolic Aggregate approXimation (SAX, Definition 7)
 // following Lin et al. [26]. CABD's correlation score represents a
 // candidate's INN window as a SAX word and counts how often that word
-// occurs across the whole series; the Luminol baseline uses SAX bitmaps.
+// occurs across the whole series (Corpora); the Luminol baseline uses
+// SAX bitmaps.
 package sax
 
 import (
+	"math"
 	"strings"
+	"sync"
 
 	"cabd/internal/stats"
 )
@@ -66,54 +69,159 @@ func Symbolize(xs []float64, a int) string {
 	var b strings.Builder
 	b.Grow(len(xs))
 	for _, v := range xs {
-		idx := 0
-		for idx < len(bp) && v > bp[idx] {
-			idx++
-		}
-		b.WriteByte(byte('a' + idx))
+		b.WriteByte(letter(v, bp))
 	}
 	return b.String()
 }
 
-// Word converts xs to a SAX word: standardize, PAA to m segments,
-// symbolize with alphabet size a. An empty input yields "".
-func Word(xs []float64, m, a int) string {
-	if len(xs) == 0 {
-		return ""
+// letter is the SAX symbol of one normalized value: 'a' plus the number
+// of breakpoints it lies strictly above.
+func letter(v float64, bp []float64) byte {
+	idx := 0
+	for idx < len(bp) && v > bp[idx] {
+		idx++
 	}
-	z := stats.Standardize(xs)
-	return Symbolize(PAA(z, m), a)
+	return byte('a' + idx)
 }
 
-// SlidingWords converts every length-w window of xs (stride 1) into a SAX
-// word of m segments over alphabet a. Each window is standardized
-// independently, following the standard SAX subsequence pipeline. Returns
-// nil when w > len(xs) or parameters are degenerate.
-func SlidingWords(xs []float64, w, m, a int) []string {
-	n := len(xs)
-	if w <= 0 || w > n || m <= 0 || a < 2 {
-		return nil
-	}
-	words := make([]string, 0, n-w+1)
-	for i := 0; i+w <= n; i++ {
-		words = append(words, Word(xs[i:i+w], m, a))
-	}
-	return words
+// Corpora counts the SAX words of one series: for each window length
+// asked about, how many length-w windows (stride 1) share each word.
+// Each window is standardized independently, following the standard SAX
+// subsequence pipeline. It is safe for concurrent use.
+//
+// A length's table is built once, on its first lookup, and then answers
+// every window of that length in O(1). Building one length never blocks
+// lookups of another.
+type Corpora struct {
+	xs   []float64
+	m, a int
+	bp   []float64 // breakpoints, shared by every table
+
+	mu     sync.Mutex
+	tables map[int]*table
 }
 
-// Frequency returns the fraction of words equal to target. An empty word
-// list returns 0.
-func Frequency(words []string, target string) float64 {
-	if len(words) == 0 {
+// table is the counted corpus of one window length.
+type table struct {
+	once   sync.Once
+	ids    []int32 // word id of the window starting at each position
+	counts []int32 // windows per word id
+}
+
+// NewCorpora returns the (empty, lazily filled) corpora of xs for words
+// of m segments over alphabet a. xs must not change afterwards.
+func NewCorpora(xs []float64, m, a int) *Corpora {
+	return &Corpora{xs: xs, m: m, a: a, bp: Breakpoints(a), tables: make(map[int]*table)}
+}
+
+// Frequency returns the fraction of length-(hi-lo) windows of the series
+// whose SAX word equals the word of xs[lo:hi]. Degenerate parameters
+// (an empty or over-long window, m <= 0, a < 2) return 0.
+func (c *Corpora) Frequency(lo, hi int) float64 {
+	w := hi - lo
+	if w <= 0 || w > len(c.xs) || c.m <= 0 || c.a < 2 {
 		return 0
 	}
-	count := 0
-	for _, w := range words {
-		if w == target {
-			count++
-		}
+	t := c.table(w)
+	return float64(t.counts[t.ids[lo]]) / float64(len(t.ids))
+}
+
+// table returns the built table of window length w. The map lock covers
+// only the slot lookup; the build runs under the table's own Once, so
+// workers asking about other lengths proceed while it runs.
+func (c *Corpora) table(w int) *table {
+	c.mu.Lock()
+	t := c.tables[w]
+	if t == nil {
+		t = &table{}
+		c.tables[w] = t
 	}
-	return float64(count) / float64(len(words))
+	c.mu.Unlock()
+	t.once.Do(func() { t.build(c.xs, w, c.m, c.bp) })
+	return t
+}
+
+// build encodes every length-w window into one reused buffer and numbers
+// the distinct words in first-seen order. It allocates the id slice, the
+// buffer, the index and the counts once, plus one key per distinct word;
+// the index is sized for the 27-64 words of the small default alphabets,
+// so only wide word spaces regrow it.
+func (t *table) build(xs []float64, w, m int, bp []float64) {
+	size := m
+	if size > w {
+		size = w
+	}
+	buf := make([]byte, size)
+	t.ids = make([]int32, len(xs)-w+1)
+	index := make(map[string]int32, min(len(t.ids), 64))
+	for lo := range t.ids {
+		encode(buf, xs[lo:lo+w], bp)
+		id, ok := index[string(buf)]
+		if !ok {
+			id = int32(len(index))
+			index[string(buf)] = id
+		}
+		t.ids[lo] = id
+	}
+	t.counts = make([]int32, len(index))
+	for _, id := range t.ids {
+		t.counts[id]++
+	}
+}
+
+// encode writes the SAX word of win into buf, which holds min(m,
+// len(win)) bytes for m segments. It repeats, expression for expression
+// and in the same order, stats.Standardize, PAA and Symbolize, so the
+// bytes equal Symbolize(PAA(stats.Standardize(win), m), a) — without the
+// three intermediate slices. win must be non-empty.
+//
+//cabd:hotpath
+func encode(buf []byte, win []float64, bp []float64) {
+	n := len(win)
+	// stats.Mean, then stats.Variance (which re-derives the same mean).
+	var s float64
+	for _, x := range win {
+		s += x
+	}
+	mean := s / float64(n)
+	var sd float64
+	if n >= 2 {
+		var ss float64
+		for _, x := range win {
+			d := x - mean
+			ss += d * d
+		}
+		sd = math.Sqrt(ss / float64(n))
+	}
+	m := len(buf)
+	if m >= n {
+		// PAA copies: each point is its own segment.
+		for j, x := range win {
+			z := 0.0
+			if sd != 0 {
+				z = (x - mean) / sd
+			}
+			buf[j] = letter(z, bp)
+		}
+		return
+	}
+	// Fractional PAA: point j joins segment j*m/n, so segments are
+	// contiguous runs summed in index order.
+	seg, cnt := 0, 0
+	var sum float64
+	for j, x := range win {
+		if k := j * m / n; k != seg {
+			buf[seg] = letter(sum/float64(cnt), bp)
+			seg, cnt, sum = k, 0, 0
+		}
+		z := 0.0
+		if sd != 0 {
+			z = (x - mean) / sd
+		}
+		sum += z
+		cnt++
+	}
+	buf[seg] = letter(sum/float64(cnt), bp)
 }
 
 // MinDist is the SAX lower-bounding distance between two equal-length

@@ -69,10 +69,7 @@ type Config struct {
 	// mailbox sheds the request with 429.
 	StreamShards  int
 	StreamMailbox int
-	// StreamEngine selects the per-hop analysis engine of streaming
-	// detectors (default incremental); StreamHopTimeout bounds one
-	// streaming analysis (zero: unbounded).
-	StreamEngine     cabd.StreamEngine
+	// StreamHopTimeout bounds one streaming analysis (zero: unbounded).
 	StreamHopTimeout time.Duration
 	// SessionTTL / StreamTTL are the idle-eviction horizons: a session
 	// or stream untouched for longer is reclaimed by the janitor

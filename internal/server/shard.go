@@ -278,7 +278,6 @@ func (r *streamRegistry) push(id string, values []float64, now time.Time) (pushR
 				created: now,
 				det: cabd.NewStream(cabd.StreamConfig{
 					BadValue:   opts.Sanitize,
-					Engine:     r.srv.cfg.StreamEngine,
 					HopTimeout: r.srv.cfg.StreamHopTimeout,
 					Options:    opts,
 				}),

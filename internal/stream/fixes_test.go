@@ -160,41 +160,10 @@ func TestDegradedSurfacesOnDetections(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFullStream is the stream-level differential
-// oracle over faultgen-corrupted synthetic streams: the incremental and
-// full engines must emit identical detections at every push, under both
-// bad-value policies.
-func TestIncrementalMatchesFullStream(t *testing.T) {
-	for _, policy := range []sanitize.Policy{sanitize.Interpolate, sanitize.Drop} {
-		s := synth.Generate(synth.Config{N: 1200, Seed: 21, SingleFrac: 0.02, ChangeFrac: 0.01})
-		rng := rand.New(rand.NewSource(31))
-		vals, _ := faultgen.Chaos(rng, s.Values)
-
-		cfg := func(m EngineMode) Config {
-			return Config{
-				Window: 256, Hop: 32, Margin: 12, BadValue: policy,
-				Engine: m, Options: core.Options{Seed: 5},
-			}
-		}
-		di := New(cfg(EngineIncremental))
-		df := New(cfg(EngineFull))
-		for i, v := range vals {
-			gi := di.Push(v)
-			gf := df.Push(v)
-			if !reflect.DeepEqual(gi, gf) {
-				t.Fatalf("policy %v push %d: incremental %v full %v", policy, i, gi, gf)
-			}
-		}
-		if !reflect.DeepEqual(di.Flush(), df.Flush()) {
-			t.Fatalf("policy %v: Flush diverged", policy)
-		}
-	}
-}
-
 // TestStateResumeDropPolicy is the satellite-4 round trip: checkpoint
 // mid-stream while the Drop policy is discarding faultgen-injected bad
-// values, resume (incremental engine state rebuilds by replay), and the
-// tail must match the uninterrupted run detection-for-detection.
+// values, resume, and the tail must match the uninterrupted run
+// detection-for-detection.
 func TestStateResumeDropPolicy(t *testing.T) {
 	s := synth.Generate(synth.Config{N: 900, Seed: 17, SingleFrac: 0.02, ChangeFrac: 0.01})
 	rng := rand.New(rand.NewSource(23))

@@ -5,12 +5,10 @@
 // have left the window's trailing uncertainty zone, with global indices
 // and cross-window deduplication.
 //
-// Two analysis engines are available. The default incremental engine
-// maintains the pipeline's per-window substrates (Δ″ order statistics,
-// KD-tree, SAX corpus) across slides, so a hop costs O(touched) instead
-// of O(window) rebuild work; the full engine reruns the batch pipeline
-// per hop. Both emit bit-identical detections — the full path is kept as
-// the differential oracle for the incremental one.
+// Every hop runs the batch pipeline (core.Detector.DetectCtx) over the
+// window as it stands. Nothing derived from the window outlives a hop,
+// so the window, its position and the counters are the whole state, and
+// a checkpoint (State, Resume) restores a stream exactly.
 package stream
 
 import (
@@ -22,21 +20,6 @@ import (
 	"cabd/internal/obs"
 	"cabd/internal/sanitize"
 	"cabd/internal/series"
-	"cabd/internal/stream/incremental"
-)
-
-// EngineMode selects the per-hop analysis engine.
-type EngineMode int
-
-const (
-	// EngineIncremental (the default) maintains rolling pipeline state
-	// across window slides and recomputes only around arrived/evicted
-	// points each hop.
-	EngineIncremental EngineMode = iota
-	// EngineFull reruns the batch pipeline over the whole window every
-	// hop. Slower, but zero extra state — and the differential oracle
-	// the incremental engine is tested against.
-	EngineFull
 )
 
 // Config parameterizes the streaming wrapper.
@@ -61,8 +44,6 @@ type Config struct {
 	// entirely — indices then refer to the accepted substream. Bad()
 	// reports how many observations were intercepted either way.
 	BadValue sanitize.Policy
-	// Engine selects the analysis engine (default EngineIncremental).
-	Engine EngineMode
 	// HopTimeout bounds one analysis. Zero means no bound. The deadline
 	// arms the detector's graceful degradation (FixedKNN scoring when
 	// headroom runs short — the emitted detections carry Degraded); an
@@ -122,11 +103,10 @@ type Detection struct {
 type Detector struct {
 	cfg      Config
 	det      *core.Detector
-	eng      *incremental.Engine // nil under EngineFull
-	buf      []float64           // sliding window
-	start    int                 // global index of buf[0]
-	total    int                 // observations seen
-	sinceRun int                 // observations since the last analysis
+	buf      []float64 // sliding window
+	start    int       // global index of buf[0]
+	total    int       // observations seen
+	sinceRun int       // observations since the last analysis
 	emitted  map[int]bool
 	clk      obs.Clock
 
@@ -144,9 +124,6 @@ func New(cfg Config) *Detector {
 		emitted: map[int]bool{},
 	}
 	d.clk = cfg.Options.Obs.Clock()
-	if cfg.Engine == EngineIncremental {
-		d.eng = incremental.New(incremental.FromOptions(d.det.Options()))
-	}
 	return d
 }
 
@@ -196,10 +173,7 @@ func (d *Detector) State() State {
 
 // Resume rebuilds a detector from a checkpointed State under cfg. The
 // configuration is not part of the state — a resumed agent applies its
-// (possibly reloaded) config to the restored stream position. The
-// incremental engine's rolling state is rebuilt by replaying the window,
-// which reproduces the continuously-run state exactly (every substrate
-// is a function of the live window alone).
+// (possibly reloaded) config to the restored stream position.
 func Resume(cfg Config, st State) *Detector {
 	d := New(cfg)
 	d.buf = append(d.buf, st.Window...)
@@ -209,11 +183,6 @@ func Resume(cfg Config, st State) *Detector {
 	d.bad = st.Bad
 	d.lastGood = st.LastGood
 	d.hasGood = st.HasGood
-	if d.eng != nil {
-		for i, v := range st.Window {
-			d.eng.Observe(st.Start+i, v)
-		}
-	}
 	for _, idx := range st.Emitted {
 		d.emitted[idx] = true
 	}
@@ -238,16 +207,10 @@ func (d *Detector) Push(v float64) []Detection {
 		d.lastGood, d.hasGood = v, true
 	}
 	d.buf = append(d.buf, v)
-	if d.eng != nil {
-		d.eng.Observe(d.start+len(d.buf)-1, v)
-	}
 	if len(d.buf) > d.cfg.Window {
 		drop := len(d.buf) - d.cfg.Window
 		d.buf = d.buf[drop:]
 		d.start += drop
-		if d.eng != nil {
-			d.eng.SlideTo(d.start)
-		}
 	}
 	d.total++
 	d.sinceRun++
@@ -301,14 +264,7 @@ func (d *Detector) analyzeWithMargin(margin int) []Detection {
 		ctx, cancel = context.WithDeadline(ctx, d.clk.Now().Add(d.cfg.HopTimeout))
 		defer cancel()
 	}
-	s := series.New("stream", d.buf)
-	var res *core.Result
-	var err error
-	if d.eng != nil {
-		res, err = d.det.DetectEnvCtx(ctx, s, d.eng.BuildEnv(d.buf, d.start))
-	} else {
-		res, err = d.det.DetectCtx(ctx, s)
-	}
+	res, err := d.det.DetectCtx(ctx, series.New("stream", d.buf))
 	if err != nil {
 		d.cfg.Options.Obs.Add(obs.CounterStreamHopTimeouts, 1)
 		return nil

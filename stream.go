@@ -6,20 +6,6 @@ import (
 	"cabd/internal/stream"
 )
 
-// StreamEngine selects the per-hop analysis engine of a StreamDetector.
-type StreamEngine int
-
-const (
-	// StreamEngineIncremental (the default) maintains rolling pipeline
-	// state across window slides — per-hop cost scales with the points
-	// that arrived or expired, not the window length.
-	StreamEngineIncremental StreamEngine = StreamEngine(stream.EngineIncremental)
-	// StreamEngineFull reruns the batch pipeline over the whole window
-	// every hop; it is the differential oracle for the incremental
-	// engine and emits bit-identical detections.
-	StreamEngineFull StreamEngine = StreamEngine(stream.EngineFull)
-)
-
 // StreamConfig parameterizes a streaming detector.
 type StreamConfig struct {
 	// Window is the sliding analysis window length (default 1024).
@@ -36,9 +22,6 @@ type StreamConfig struct {
 	// discards the observation — indices then refer to the accepted
 	// substream. Bad() reports how many observations were intercepted.
 	BadValue SanitizePolicy
-	// Engine selects the analysis engine (default
-	// StreamEngineIncremental).
-	Engine StreamEngine
 	// HopTimeout bounds one per-hop analysis. Zero means no bound. An
 	// analysis under deadline pressure degrades to the cheaper scoring
 	// strategy (emitted detections carry Degraded); one that still
@@ -76,7 +59,6 @@ func streamConfig(cfg StreamConfig) stream.Config {
 		Hop:        cfg.Hop,
 		Margin:     cfg.Margin,
 		BadValue:   cfg.BadValue,
-		Engine:     stream.EngineMode(cfg.Engine),
 		HopTimeout: cfg.HopTimeout,
 		Options:    cfg.Options,
 	}
