@@ -1,5 +1,10 @@
 package forest
 
+import (
+	"runtime"
+	"sync"
+)
+
 // PredictProbaBatch computes the class distribution of every row of m in
 // tree-major order: each tree's flat node array streams through all rows
 // while it is hot in cache, instead of every row re-walking every tree.
@@ -60,53 +65,84 @@ func (t tree) leafAt(m Matrix, i int) []float64 {
 	return t.nodes[at].Probs
 }
 
-// predict is the tree-major inference kernel. Either output may be nil;
-// each has m.N*NumClasses slots otherwise. full receives the ensemble
+// minBlockRows is the fewest rows an inference block takes: below it,
+// starting and joining a goroutine costs more than the rows it takes
+// off the caller.
+const minBlockRows = 32
+
+// predict fills full and oob as predictRows does, for every row of m.
+// The rows are split into up to GOMAXPROCS contiguous blocks of at
+// least minBlockRows rows; the caller's goroutine runs the first block
+// and waits for the others. Blocks write disjoint ranges of the outputs
+// and every row still sums its trees in index order, so the result is
+// bit-identical at any block count.
+func (f *Forest) predict(m Matrix, full, oob []float64) {
+	if oob != nil && len(f.inBag) == 0 {
+		// Without in-bag masks (a snapshot may omit them) no tree is
+		// known to have left a row out: every row takes the voters == 0
+		// fallback, the full-ensemble distribution.
+		if full == nil {
+			f.predict(m, oob, nil)
+			return
+		}
+		f.predict(m, full, nil)
+		copy(oob, full)
+		return
+	}
+	n := m.N
+	nb := min(runtime.GOMAXPROCS(0), n/minBlockRows)
+	if nb <= 1 {
+		f.predictRows(m, full, oob, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(nb - 1)
+	for b := 1; b < nb; b++ {
+		lo, hi := b*n/nb, (b+1)*n/nb
+		go func() {
+			defer wg.Done()
+			f.predictRows(m, full, oob, lo, hi)
+		}()
+	}
+	f.predictRows(m, full, oob, 0, n/nb)
+	wg.Wait()
+}
+
+// predictRows is the tree-major inference kernel over rows [lo, hi) of
+// m. Either output may be nil; each has m.N*NumClasses slots otherwise,
+// and only the rows' own slots are written. full receives the ensemble
 // distribution of every row; oob the out-of-bag one, which falls back
 // to the ensemble distribution for a row every tree saw. Without full,
-// only the trees that vote out-of-bag walk a row.
+// only the trees that vote out-of-bag walk a row. oob needs the in-bag
+// masks.
 //
 //cabd:hotpath
-func (f *Forest) predict(m Matrix, full, oob []float64) {
+func (f *Forest) predictRows(m Matrix, full, oob []float64, lo, hi int) {
 	k := f.numClasses
-	for i := range full {
-		full[i] = 0
+	if full != nil {
+		clear(full[lo*k : hi*k])
 	}
-	for i := range oob {
-		oob[i] = 0
+	if oob != nil {
+		clear(oob[lo*k : hi*k])
 	}
-	if len(f.trees) == 0 || m.N == 0 {
+	if len(f.trees) == 0 || lo == hi {
 		return
 	}
 	for ti, t := range f.trees {
-		switch {
-		case oob == nil:
-			for i := 0; i < m.N; i++ {
-				addRow(full, i, t.leafAt(m, i))
-			}
-		case full == nil:
-			bag := f.inBag[ti]
-			for i := 0; i < m.N; i++ {
-				if !bag[i] {
-					addRow(oob, i, t.leafAt(m, i))
-				}
-			}
-		default:
-			bag := f.inBag[ti]
-			for i := 0; i < m.N; i++ {
-				probs := t.leafAt(m, i)
-				addRow(full, i, probs)
-				if !bag[i] {
-					addRow(oob, i, probs)
-				}
-			}
+		var bag []bool
+		if oob != nil {
+			bag = f.inBag[ti]
 		}
+		t.addLeaves(m, full, oob, bag, lo, hi)
 	}
 	inv := float64(len(f.trees))
-	for i := range full {
-		full[i] /= inv
+	if full != nil {
+		blk := full[lo*k : hi*k]
+		for i := range blk {
+			blk[i] /= inv
+		}
 	}
-	for i := 0; oob != nil && i < m.N; i++ {
+	for i := lo; oob != nil && i < hi; i++ {
 		voters := 0
 		for _, bag := range f.inBag {
 			if !bag[i] {
@@ -128,6 +164,35 @@ func (f *Forest) predict(m Matrix, full, oob []float64) {
 			}
 			for c := range out {
 				out[c] /= inv
+			}
+		}
+	}
+}
+
+// addLeaves adds tree t's leaf distribution of every row in [lo, hi)
+// to full, and to oob for the rows its bootstrap left out (bag[i] is
+// false). Either output may be nil. It stays a call per tree: inlined
+// into predictRows's loop nest, the row walk measured slower.
+//
+//cabd:hotpath
+func (t tree) addLeaves(m Matrix, full, oob []float64, bag []bool, lo, hi int) {
+	switch {
+	case oob == nil:
+		for i := lo; i < hi; i++ {
+			addRow(full, i, t.leafAt(m, i))
+		}
+	case full == nil:
+		for i := lo; i < hi; i++ {
+			if !bag[i] {
+				addRow(oob, i, t.leafAt(m, i))
+			}
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			probs := t.leafAt(m, i)
+			addRow(full, i, probs)
+			if !bag[i] {
+				addRow(oob, i, probs)
 			}
 		}
 	}

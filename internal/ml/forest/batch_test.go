@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -70,104 +71,196 @@ func TestTrainMatrixMatchesRowMajor(t *testing.T) {
 	}
 }
 
+// atProcs runs fn at GOMAXPROCS 1, 2 and 8 — one block, two, and more
+// blocks than cores — restoring the old setting afterwards.
+func atProcs(fn func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		fn(procs)
+	}
+}
+
 // TestPredictProbaBatchMatchesPerRow sweeps the tree-major batch pass
-// against the per-row oracle, including rows the forest never saw and
-// rows holding NaN/Inf (NaN <= thr is false, so NaN rows deterministically
-// fall right at every split — both paths must agree on that too).
+// against the per-row oracle over a probe matrix that spans several row
+// blocks, including rows the forest never saw and rows holding NaN/Inf
+// (NaN <= thr is false, so NaN rows deterministically fall right at
+// every split — both paths must agree on that too).
 func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	X, y := gaussData(rng, 200, 4, 3)
+	X, y := gaussData(rng, 300, 4, 3)
 	f := TrainWeighted(X, y, nil, Config{Trees: 30, NumClasses: 3}, rand.New(rand.NewSource(2)))
 
-	probe := make([][]float64, 0, 64)
-	probe = append(probe, X[:40]...)
+	// As many rows as the training set, so the fused pass below has an
+	// in-bag mask entry for every row.
+	probe := make([][]float64, 0, len(X))
+	probe = append(probe, X[:240]...)
 	probe = append(probe,
 		[]float64{math.NaN(), 0, 1, 2},
 		[]float64{math.Inf(1), math.Inf(-1), 0, math.NaN()},
 		[]float64{1e308, -1e308, 1e-308, 0},
 	)
-	for i := 0; i < 20; i++ {
+	for len(probe) < cap(probe) {
 		probe = append(probe, []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10,
 			rng.NormFloat64() * 10, rng.NormFloat64() * 10})
 	}
 	m := RowMajor(probe)
-	batch := f.PredictProbaBatch(m, nil)
-	if len(batch) != m.N*f.NumClasses() {
-		t.Fatalf("batch length %d, want %d", len(batch), m.N*f.NumClasses())
-	}
+	want := make([][]float64, len(probe))
 	for i, row := range probe {
-		want := f.PredictProba(row)
-		got := batch[i*3 : i*3+3]
+		want[i] = f.PredictProba(row)
+	}
+	same := func(got []float64, i int) bool {
+		w := want[i]
 		//cabd:lint-ignore floateq the batch contract is bit-identity with the per-row oracle
-		if got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-			t.Fatalf("row %d: batch %v, per-row %v", i, got, want)
+		return got[0] == w[0] && got[1] == w[1] && got[2] == w[2]
+	}
+	atProcs(func(procs int) {
+		batch := f.PredictProbaBatch(m, nil)
+		if len(batch) != m.N*f.NumClasses() {
+			t.Fatalf("batch length %d, want %d", len(batch), m.N*f.NumClasses())
 		}
-	}
-	// Buffer reuse must not leak previous contents.
-	again := f.PredictProbaBatch(m, batch)
-	if &again[0] != &batch[0] {
-		t.Fatal("batch buffer was reallocated despite sufficient capacity")
-	}
-	// The fused pass's full distribution is the same per-row oracle, and
-	// it reuses both buffers (filled with stale values here).
-	for i := range again {
-		again[i] = -1
-	}
-	oobBuf := make([]float64, len(again))
-	full, oob := f.PredictProbaAndOOB(m, again, oobBuf)
-	if &full[0] != &again[0] || &oob[0] != &oobBuf[0] {
-		t.Fatal("fused pass reallocated buffers despite sufficient capacity")
-	}
-	for i, row := range probe {
-		want := f.PredictProba(row)
-		got := full[i*3 : i*3+3]
-		//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracle
-		if got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-			t.Fatalf("row %d: fused full %v, per-row %v", i, got, want)
+		for i := range probe {
+			if got := batch[i*3 : i*3+3]; !same(got, i) {
+				t.Fatalf("procs=%d row %d: batch %v, per-row %v", procs, i, got, want[i])
+			}
 		}
-	}
+		// Buffer reuse must not leak previous contents.
+		again := f.PredictProbaBatch(m, batch)
+		if &again[0] != &batch[0] {
+			t.Fatal("batch buffer was reallocated despite sufficient capacity")
+		}
+		// The fused pass's full distribution is the same per-row oracle,
+		// and it reuses both buffers (filled with stale values here).
+		for i := range again {
+			again[i] = -1
+		}
+		oobBuf := make([]float64, len(again))
+		full, oob := f.PredictProbaAndOOB(m, again, oobBuf)
+		if &full[0] != &again[0] || &oob[0] != &oobBuf[0] {
+			t.Fatal("fused pass reallocated buffers despite sufficient capacity")
+		}
+		for i := range probe {
+			if got := full[i*3 : i*3+3]; !same(got, i) {
+				t.Fatalf("procs=%d row %d: fused full %v, per-row %v", procs, i, got, want[i])
+			}
+		}
+	})
 }
 
 // TestPredictProbaOOBBatchMatchesPerRow covers the out-of-bag batch pass
-// including the voters==0 full-ensemble fallback, forced by weighting
-// one row so heavily that every bootstrap sample contains it.
+// across several row blocks, including the voters==0 full-ensemble
+// fallback, forced by weighting one row so heavily that every bootstrap
+// sample contains it. That row sits past the first block at every
+// block count above one.
 func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
-	X, y := gaussData(rand.New(rand.NewSource(11)), 120, 4, 2)
+	const heavy = 250
+	X, y := gaussData(rand.New(rand.NewSource(11)), 300, 4, 2)
 	w := make([]float64, len(X))
 	for i := range w {
 		w[i] = 1
 	}
-	w[0] = 1e9 // row 0 is in (essentially) every bag -> OOB fallback path
+	w[heavy] = 1e9 // in (essentially) every bag -> OOB fallback path
 	f := TrainWeighted(X, y, w, Config{Trees: 20, NumClasses: 2}, rand.New(rand.NewSource(4)))
+	for ti := range f.inBag {
+		if !f.inBag[ti][heavy] {
+			t.Fatal("fixture never exercised the voters==0 fallback; raise the weight")
+		}
+	}
 
+	m := RowMajor(X)
+	atProcs(func(procs int) {
+		batch := f.PredictProbaOOBBatch(m, nil)
+		full, oob := f.PredictProbaAndOOB(m, nil, nil)
+		for i, row := range X {
+			want := f.PredictProbaOOB(i, row)
+			wantFull := f.PredictProba(row)
+			got, gotOOB, gotFull := batch[i*2:i*2+2], oob[i*2:i*2+2], full[i*2:i*2+2]
+			//cabd:lint-ignore floateq the batch contract is bit-identity with the per-row oracle
+			if got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("procs=%d row %d: batch %v, per-row %v", procs, i, got, want)
+			}
+			//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracles
+			if gotOOB[0] != want[0] || gotOOB[1] != want[1] || gotFull[0] != wantFull[0] || gotFull[1] != wantFull[1] {
+				t.Fatalf("procs=%d row %d: fused oob %v full %v, per-row %v %v", procs, i, gotOOB, gotFull, want, wantFull)
+			}
+		}
+	})
+}
+
+// TestPredictWithoutInBag: a forest restored from a snapshot without
+// in-bag masks has no out-of-bag voters, so every out-of-bag entry
+// point returns the full-ensemble distribution instead of panicking.
+func TestPredictWithoutInBag(t *testing.T) {
+	X, y := gaussData(rand.New(rand.NewSource(15)), 100, 3, 2)
+	trained := TrainWeighted(X, y, nil, Config{Trees: 10, NumClasses: 2}, rand.New(rand.NewSource(3)))
+	snap := trained.Snapshot()
+	snap.InBag = nil
+	f, err := FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := RowMajor(X)
 	batch := f.PredictProbaOOBBatch(m, nil)
 	full, oob := f.PredictProbaAndOOB(m, nil, nil)
-	sawFallback := false
 	for i, row := range X {
-		voters := 0
-		for ti := range f.inBag {
-			if !f.inBag[ti][i] {
-				voters++
+		want := f.PredictProba(row)
+		for name, got := range map[string][]float64{
+			"PredictProbaOOB":          f.PredictProbaOOB(i, row),
+			"PredictProbaOOBBatch":     batch[i*2 : i*2+2],
+			"PredictProbaAndOOB (oob)": oob[i*2 : i*2+2],
+			"PredictProbaAndOOB (all)": full[i*2 : i*2+2],
+		} {
+			//cabd:lint-ignore floateq without masks the out-of-bag answer is the full-ensemble oracle, bit for bit
+			if got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("row %d: %s %v, full ensemble %v", i, name, got, want)
 			}
 		}
-		if voters == 0 {
-			sawFallback = true
-		}
-		want := f.PredictProbaOOB(i, row)
-		wantFull := f.PredictProba(row)
-		got, gotOOB, gotFull := batch[i*2:i*2+2], oob[i*2:i*2+2], full[i*2:i*2+2]
-		//cabd:lint-ignore floateq the batch contract is bit-identity with the per-row oracle
-		if got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("row %d (voters=%d): batch %v, per-row %v", i, voters, got, want)
-		}
-		//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracles
-		if gotOOB[0] != want[0] || gotOOB[1] != want[1] || gotFull[0] != wantFull[0] || gotFull[1] != wantFull[1] {
-			t.Fatalf("row %d (voters=%d): fused oob %v full %v, per-row %v %v", i, voters, gotOOB, gotFull, want, wantFull)
-		}
 	}
-	if !sawFallback {
-		t.Fatal("fixture never exercised the voters==0 fallback; raise the weight")
+}
+
+// allocsPerCall is testing.AllocsPerRun at the current GOMAXPROCS:
+// AllocsPerRun pins GOMAXPROCS to 1, which would leave a single row
+// block and hide the fan-out's allocations.
+func allocsPerCall(runs int, fn func()) float64 {
+	for i := 0; i < runs; i++ {
+		fn() // warm up, as AllocsPerRun does, and let exited goroutines be reused
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestPredictAllocBudget holds the row-parallel pass to its allocation
+// budget: with reused outputs a call allocates at most a small constant
+// per row block (a goroutine's closure and the shared wait group),
+// whatever the row and tree counts, and nothing on one block.
+func TestPredictAllocBudget(t *testing.T) {
+	const perBlock = 2
+	for _, shape := range []struct{ rows, trees int }{{40, 4}, {300, 4}, {300, 40}, {900, 4}} {
+		X, y := gaussData(rand.New(rand.NewSource(17)), shape.rows, 4, 3)
+		f := TrainWeighted(X, y, nil, Config{Trees: shape.trees, NumClasses: 3}, rand.New(rand.NewSource(5)))
+		m := RowMajor(X)
+		full, oob := f.PredictProbaAndOOB(m, nil, nil)
+		atProcs(func(procs int) {
+			budget := 0
+			if blocks := min(procs, shape.rows/minBlockRows); blocks > 1 {
+				budget = perBlock * blocks
+			}
+			for name, call := range map[string]func(){
+				"PredictProbaBatch":    func() { f.PredictProbaBatch(m, full) },
+				"PredictProbaOOBBatch": func() { f.PredictProbaOOBBatch(m, oob) },
+				"PredictProbaAndOOB":   func() { f.PredictProbaAndOOB(m, full, oob) },
+			} {
+				if allocs := allocsPerCall(10, call); allocs > float64(budget) {
+					t.Errorf("%s rows=%d trees=%d procs=%d: %v allocs per call, budget %d",
+						name, shape.rows, shape.trees, procs, allocs, budget)
+				}
+			}
+		})
 	}
 }
 

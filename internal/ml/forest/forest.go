@@ -10,13 +10,15 @@
 // of chasing heap pointers, and PredictProbaBatch streams each tree
 // through all rows of a column-major Matrix (tree-major order: the hot
 // node array stays cached while rows advance); PredictProbaAndOOB fills
-// the full and out-of-bag distributions in that one pass. Training sorts
-// each feature column once and finds every split by sweeping presorted
-// row segments (see builder). It fans the trees out over worker
-// goroutines; every tree draws from a rand stream seeded from the
-// caller's stream before the fan-out, so the ensemble is bit-identical
-// at any worker count (Workers: 1 is the sequential differential
-// oracle).
+// the full and out-of-bag distributions in that one pass. The rows are
+// split into contiguous blocks run on all cores, each row still summing
+// its trees in index order. Training sorts each feature column once and
+// finds every split by sweeping presorted row segments (see builder).
+// It fans the trees out over worker goroutines; every tree draws from a
+// rand stream seeded from the caller's stream before the fan-out, so the
+// ensemble is bit-identical at any worker count (Workers: 1 is the
+// sequential differential oracle). Those per-tree streams are math/rand's
+// generator, reseeded without division (see source).
 package forest
 
 import (
@@ -306,7 +308,7 @@ func (g *guide) search(v float64) int {
 // depend on the order within ties.
 type builder struct {
 	*trainSet
-	rng *rand.Rand // re-seeded per tree
+	rng *rand.Rand // over a source, re-seeded per tree
 
 	cnt   []int32    // bootstrap multiplicity per row
 	seg   []int32    // per feature, n slots: the node-contiguous sorted segments
@@ -323,7 +325,7 @@ func newBuilder(ts *trainSet) *builder {
 	n, k := ts.m.N, ts.cfg.NumClasses
 	return &builder{
 		trainSet: ts,
-		rng:      rand.New(rand.NewSource(0)),
+		rng:      rand.New(new(source)),
 		cnt:      make([]int32, n),
 		// Three pad slots take the surplus writes of train's expansion.
 		seg:   make([]int32, len(ts.order), len(ts.order)+3),
@@ -568,10 +570,13 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 // PredictProbaOOB returns the out-of-bag class distribution of training
 // row i with features x: only trees whose bootstrap sample excluded row i
 // vote, so the estimate is not self-fulfilling. When every tree saw the
-// row (possible for heavily weighted rows), it falls back to the full
-// ensemble. It is the per-row differential oracle for
-// PredictProbaOOBBatch.
+// row (possible for heavily weighted rows), or the forest has no in-bag
+// masks (a snapshot may omit them), it falls back to the full ensemble.
+// It is the per-row differential oracle for PredictProbaOOBBatch.
 func (f *Forest) PredictProbaOOB(i int, x []float64) []float64 {
+	if len(f.inBag) == 0 {
+		return f.PredictProba(x)
+	}
 	probs := make([]float64, f.numClasses)
 	voters := 0
 	for t, tr := range f.trees {

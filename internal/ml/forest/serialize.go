@@ -58,10 +58,12 @@ func (f *Forest) Snapshot() *Snapshot {
 
 // FromSnapshot rebuilds a Forest from its serialized form, validating
 // the node graph (indices in range, acyclic by forward reference, leaf
-// distributions sized to NumClasses) so a corrupted checkpoint fails
-// loudly instead of predicting garbage. Only nodes reachable from the
-// root are kept, re-packed in preorder, so a round trip through
-// Snapshot is byte-stable. A nil snapshot returns nil.
+// distributions sized to NumClasses) and the in-bag masks (none, or one
+// per tree, all of one length) so a corrupted checkpoint fails loudly
+// instead of predicting garbage. Only nodes reachable from the root are
+// kept, re-packed in preorder, so a round trip through Snapshot is
+// byte-stable. Without masks, out-of-bag predictions fall back to the
+// full ensemble. A nil snapshot returns nil.
 func FromSnapshot(s *Snapshot) (*Forest, error) {
 	if s == nil {
 		return nil, nil
@@ -71,6 +73,11 @@ func FromSnapshot(s *Snapshot) (*Forest, error) {
 	}
 	if len(s.InBag) != 0 && len(s.InBag) != len(s.Trees) {
 		return nil, fmt.Errorf("forest snapshot: %d in-bag rows for %d trees", len(s.InBag), len(s.Trees))
+	}
+	for ti, bag := range s.InBag {
+		if len(bag) != len(s.InBag[0]) {
+			return nil, fmt.Errorf("forest snapshot: tree %d in-bag mask has %d rows, tree 0 has %d", ti, len(bag), len(s.InBag[0]))
+		}
 	}
 	f := &Forest{numClasses: s.NumClasses}
 	for ti, ts := range s.Trees {

@@ -87,6 +87,9 @@ func TestSnapshotValidation(t *testing.T) {
 		"in-bag mismatch": {NumClasses: 2,
 			Trees: []TreeSnapshot{{Nodes: []FlatNode{leaf}}},
 			InBag: [][]bool{{true}, {false}}},
+		"in-bag mask lengths differ": {NumClasses: 2,
+			Trees: []TreeSnapshot{{Nodes: []FlatNode{leaf}}, {Nodes: []FlatNode{leaf}}},
+			InBag: [][]bool{{true, false}, {false}}},
 		"child out of range": {NumClasses: 2,
 			Trees: []TreeSnapshot{{Nodes: []FlatNode{{Feature: 0, Left: 1, Right: 5}, leaf}}}},
 		"child before parent (cycle)": {NumClasses: 2,

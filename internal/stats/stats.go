@@ -119,8 +119,12 @@ func MAD(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
+	return madAbout(xs, Median(xs), make([]float64, len(xs)))
+}
+
+// madAbout writes |x - med| for every element of xs into dev and returns
+// the median of those deviations: the MAD of xs when med is its median.
+func madAbout(xs []float64, med float64, dev []float64) float64 {
 	for i, x := range xs {
 		dev[i] = math.Abs(x - med)
 	}
@@ -129,16 +133,16 @@ func MAD(xs []float64) float64 {
 
 // RobustZ returns |x - median| / MAD for every element, the robust z-score
 // used to select candidate points. When MAD is zero (constant data), the
-// score is 0 where x equals the median and +Inf elsewhere.
+// score is 0 where x equals the median and +Inf elsewhere. The median is
+// found once: the deviations MAD takes its median of are the scores'
+// numerators.
 func RobustZ(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	if len(xs) == 0 {
 		return out
 	}
-	med := Median(xs)
-	mad := MAD(xs)
-	for i, x := range xs {
-		d := math.Abs(x - med)
+	mad := madAbout(xs, Median(xs), out)
+	for i, d := range out {
 		switch {
 		case mad > 0:
 			out[i] = d / mad

@@ -114,6 +114,39 @@ func TestRobustZ(t *testing.T) {
 	}
 }
 
+// TestRobustZMatchesMedianMAD: RobustZ finds the median once, and must
+// stay bit-identical to the composition that sorts for Median and
+// again inside MAD, on random, heavily tied and constant inputs.
+func TestRobustZMatchesMedianMAD(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var inputs [][]float64
+	for _, n := range []int{1, 2, 3, 10, 101, 256} {
+		random, tied, constant := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range random {
+			random[i] = rng.NormFloat64() * 100
+			tied[i] = float64(rng.Intn(4))
+			constant[i] = 2.5
+		}
+		inputs = append(inputs, random, tied, constant)
+	}
+	for _, xs := range inputs {
+		med, mad := Median(xs), MAD(xs)
+		got := RobustZ(xs)
+		for i, x := range xs {
+			want := math.Abs(x-med) / mad
+			if !(mad > 0) {
+				want = 0
+				if x != med {
+					want = math.Inf(1)
+				}
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d x[%d]=%v: RobustZ %v, Median+MAD %v", len(xs), i, x, got[i], want)
+			}
+		}
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
