@@ -156,7 +156,8 @@ func innBenchComputer() (*inn.Computer, int) {
 
 // benchINNEngines runs one neighborhood strategy under the legacy
 // (full-k-NN-probe) engine, the rank-query engine, and the rank engine
-// with a shared memo — the old-vs-new comparison backing the engine swap.
+// with the measurement-only memo — the old-vs-new comparison backing the
+// engine swap.
 func benchINNEngines(b *testing.B, call func(c *inn.Computer, i, tlim int) []int) {
 	base, tlim := innBenchComputer()
 	engines := []struct {

@@ -125,10 +125,6 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Resul
 	t.Do(obs.StageINNScore, func() {
 		deadlineDegraded, scoreErr = sc.scoreAll(ctx, cands)
 	})
-	if hits, misses := sc.memoStats(); hits+misses > 0 {
-		t.Add(obs.CounterRankMemoHits, hits)
-		t.Add(obs.CounterRankMemoMisses, misses)
-	}
 	if scoreErr != nil {
 		return nil, scoreErr
 	}

@@ -50,23 +50,14 @@ type scorer struct {
 
 func newScorer(values []float64, comp *inn.Computer, opts Options) *scorer {
 	return &scorer{
-		opts: opts,
-		// Candidates in one series grow overlapping neighborhoods, and a
-		// pair's reverse probe is a later candidate's forward probe, so
-		// all scoreAll workers share one bounded rank memo.
-		comp:     comp.WithRankMemo(0),
+		opts:     opts,
+		comp:     comp,
 		values:   values,
 		tlim:     comp.RangeLimit(opts.RangeFrac),
 		corpora:  sax.NewCorpora(values, opts.SAXSegments, opts.SAXAlphabet),
 		clk:      opts.Obs.Clock(),
 		resolved: opts.Strategy,
 	}
-}
-
-// memoStats reports the shared rank memo's cumulative hit/miss counts
-// for the observability layer.
-func (sc *scorer) memoStats() (hits, misses int64) {
-	return sc.comp.MemoStats()
 }
 
 // neighborhood returns the INN (or KNN) members of index i under

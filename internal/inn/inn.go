@@ -105,15 +105,12 @@ func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 // answered by a rank query: one allocation-free index walk counting the
 // points that order ahead of x_j under the (distance, index) tie-break,
 // so InTopK(i, j, k) is rank(i, j) < k with cost O(log n + |ball|)
-// instead of a full allocating k-NN query per probe. An optional bounded
-// memo caches ranks per (i, j) pair — the rank is independent of k, so
-// one cached walk answers every radius the gallop + binary search of
-// Algorithm 5 probes for that pair.
+// instead of a full allocating k-NN query per probe.
 type Computer struct {
 	idx    Index
 	n      int       // cached idx.Len()
 	legacy bool      // answer probes via full k-NN lists (test oracle)
-	memo   *rankMemo // optional shared (i,j) -> rank cache
+	memo   *rankMemo // (i,j) -> rank cache; measurement only, see WithRankMemo
 }
 
 // NewComputer indexes pts (built once, queried many times). The probe
@@ -149,9 +146,15 @@ func (c *Computer) WithLegacyProbes(on bool) *Computer {
 
 // WithRankMemo returns a copy of c that caches rank probes in a bounded
 // sharded memo. capacity <= 0 selects the default (~64k entries). The
-// memo is shared by every neighborhood call on the returned Computer, so
-// concurrent scorer workers reuse each other's probe walks; it is safe
-// for concurrent use and never exceeds its bound (full shards reset).
+// memo is shared by every neighborhood call on the returned Computer and
+// is safe for concurrent use; it never exceeds its bound (full shards
+// reset).
+//
+// The memo is for measurement only: no detector attaches it. In a
+// detect's scoring pass it answers about one probe in sixteen, and its
+// locking and per-call maps cost more than the walks it saves. It stays
+// so the benchmark's layer sweep can keep reporting the hit ratio
+// (MemoStats) that showed this.
 func (c *Computer) WithRankMemo(capacity int) *Computer {
 	cc := *c
 	if !cc.legacy {
@@ -161,8 +164,7 @@ func (c *Computer) WithRankMemo(capacity int) *Computer {
 }
 
 // MemoStats returns the rank memo's cumulative probe hit/miss counts
-// (zeros when no memo is attached) — the observability feed for the
-// rank_memo_hits/misses counters.
+// (zeros when no memo is attached).
 func (c *Computer) MemoStats() (hits, misses int64) {
 	if c.memo == nil {
 		return 0, 0

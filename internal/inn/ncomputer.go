@@ -18,7 +18,6 @@ type NComputer struct {
 	pts    [][]float64
 	tree   *kdtree.ND
 	legacy bool
-	memo   *rankMemo
 }
 
 // NewNComputer indexes pts (rows are points of equal dimension).
@@ -35,29 +34,7 @@ func NewNComputer(pts [][]float64) *NComputer {
 func (c *NComputer) WithLegacyProbes(on bool) *NComputer {
 	cc := *c
 	cc.legacy = on
-	if on {
-		cc.memo = nil
-	}
 	return &cc
-}
-
-// WithRankMemo returns a copy of c with a bounded shared rank-probe memo
-// (see Computer.WithRankMemo).
-func (c *NComputer) WithRankMemo(capacity int) *NComputer {
-	cc := *c
-	if !cc.legacy {
-		cc.memo = newRankMemo(capacity)
-	}
-	return &cc
-}
-
-// MemoStats returns the rank memo's cumulative probe hit/miss counts
-// (zeros when no memo is attached).
-func (c *NComputer) MemoStats() (hits, misses int64) {
-	if c.memo == nil {
-		return 0, 0
-	}
-	return c.memo.stats()
 }
 
 // Len returns the number of indexed points.
@@ -103,15 +80,6 @@ func (c *NComputer) KNN(i, k int) []int {
 // Rank returns the number of points ordering strictly ahead of x_j in the
 // (distance, index)-sorted neighbor list of x_i (see Computer.Rank).
 func (c *NComputer) Rank(i, j int) int {
-	if c.memo != nil {
-		key := uint64(i)*uint64(len(c.pts)) + uint64(j)
-		if r, ok := c.memo.get(key); ok {
-			return r
-		}
-		r := c.tree.Rank(c.pts[i], kdtree.DistN(c.pts[i], c.pts[j]), j, i)
-		c.memo.put(key, r)
-		return r
-	}
 	return c.tree.Rank(c.pts[i], kdtree.DistN(c.pts[i], c.pts[j]), j, i)
 }
 
@@ -129,21 +97,7 @@ func (c *NComputer) InTopK(i, j, k int) bool {
 		}
 		return false
 	}
-	if k >= n {
-		return c.Rank(i, j) < k
-	}
 	// Bounded probe: abort the rank walk at k (see Computer.InTopK).
-	if c.memo != nil {
-		key := uint64(i)*uint64(n) + uint64(j)
-		if r, ok := c.memo.get(key); ok {
-			return r < k
-		}
-		r := c.tree.RankAtMost(c.pts[i], kdtree.DistN(c.pts[i], c.pts[j]), j, i, k)
-		if r < k {
-			c.memo.put(key, r)
-		}
-		return r < k
-	}
 	return c.tree.RankAtMost(c.pts[i], kdtree.DistN(c.pts[i], c.pts[j]), j, i, k) < k
 }
 

@@ -167,7 +167,7 @@ func TestNComputerEngineIdentical(t *testing.T) {
 		pts[i] = row
 	}
 	c := NewNComputer(pts)
-	rank := c.WithLegacyProbes(false).WithRankMemo(0)
+	rank := c.WithLegacyProbes(false)
 	legacy := c.WithLegacyProbes(true)
 	tlim := c.RangeLimit(0)
 	for i := 0; i < n; i++ {

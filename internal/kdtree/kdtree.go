@@ -11,57 +11,60 @@
 // probes need one deterministic answer to the question "is j among the k
 // nearest neighbors of i".
 //
-// Traversals are iterative (explicit stack, bounded by the balanced tree's
-// height) and allocation-free when the caller supplies buffers: KNNInto /
-// WithinInto reuse caller storage, and Rank / CountWithin count in a bare
-// tree walk with no candidate list at all.
+// Traversals are iterative (an explicit stack of pending index spans,
+// bounded by the balanced tree's height) and allocation-free when the
+// caller supplies buffers: KNNInto / WithinInto reuse caller storage, and
+// Rank / CountWithin count in a bare tree walk with no candidate list at
+// all.
 package kdtree
 
 import "math"
 
-type node struct {
-	point       [2]float64
-	index       int // original index
-	axis        int
-	left, right *node
-}
-
 // New builds a KD-tree over pts. The original position of each point in
 // pts is retained and returned by queries. Building is O(n log n) via
 // median quickselect per level (expected linear per level, no full sort).
+//
+// The tree is implicit: one item array, partitioned in place so that the
+// node of the span [lo, hi) sits at items[lo+(hi-lo)/2], its left subtree
+// is [lo, mid) and its right subtree [mid+1, hi). A span at depth d splits
+// on axis d&1. A build allocates the array and the handle, nothing per
+// point.
 func New(pts [][2]float64) *KD {
+	if len(pts) > math.MaxInt32 {
+		panic("kdtree: more than math.MaxInt32 points")
+	}
 	items := make([]item, len(pts))
 	for i, p := range pts {
 		items[i] = item{p: p, i: i}
 	}
-	return &KD{root: build(items, 0), n: len(pts)}
+	build(items, 0)
+	return &KD{items: items}
 }
 
 // KD is the public tree handle.
 type KD struct {
-	root *node
-	n    int
+	items []item
 }
 
 // Len returns the number of indexed points.
-func (t *KD) Len() int { return t.n }
+func (t *KD) Len() int { return len(t.items) }
 
 type item struct {
 	p [2]float64
 	i int
 }
 
-func build(items []item, depth int) *node {
-	if len(items) == 0 {
-		return nil
+// build arranges items into the implicit layout: the median of the span
+// on axis depth&1 moves to the span's middle slot, then each half is
+// built one level deeper.
+func build(items []item, depth int) {
+	for len(items) > 1 {
+		mid := len(items) / 2
+		medianSelect(items, mid, depth&1)
+		build(items[:mid], depth+1)
+		items = items[mid+1:]
+		depth++
 	}
-	axis := depth % 2
-	mid := len(items) / 2
-	medianSelect(items, mid, axis)
-	n := &node{point: items[mid].p, index: items[mid].i, axis: axis}
-	n.left = build(items[:mid], depth+1)
-	n.right = build(items[mid+1:], depth+1)
-	return n
 }
 
 // medianSelect partially orders items so that items[k] holds the k-th
@@ -173,14 +176,31 @@ func ascendingSort(h []Neighbor) {
 	}
 }
 
-// maxStack bounds the explicit traversal stack. The tree is built by
-// median splits, so its height is ceil(log2(n+1)); 64 covers any
-// addressable point count.
+// maxStack bounds the explicit traversal stack of the ND tree. Its median
+// splits keep the height at ceil(log2(n+1)); 64 covers any addressable
+// point count.
 const maxStack = 64
 
-type frame struct {
-	n         *node
-	planeDist float64 // distance from the query to the node's split plane
+// maxSpans bounds a KD walk's span stack. Pending spans lie at distinct
+// depths below the root, and New admits at most math.MaxInt32 points, so
+// at most 30 are ever pending.
+const maxSpans = 32
+
+// span is a pending subtree of the implicit layout: items[lo:hi] at the
+// given depth.
+type span struct {
+	lo, hi, depth int32
+}
+
+func newSpan(lo, hi, depth int) span { return span{int32(lo), int32(hi), int32(depth)} }
+
+func (s span) unpack() (lo, hi, depth int) { return int(s.lo), int(s.hi), int(s.depth) }
+
+// knnSpan is a pending far subtree of a k-NN walk, with the distance from
+// the query to the split plane that separates it.
+type knnSpan struct {
+	span
+	planeDist float64
 }
 
 // KNN returns the k nearest neighbors of q, sorted by increasing distance
@@ -194,36 +214,44 @@ func (t *KD) KNN(q [2]float64, k int, skipSelf int) []Neighbor {
 // KNNInto is KNN with a caller-supplied result buffer: buf's storage is
 // reused when its capacity suffices, so steady-state queries allocate
 // nothing. The returned slice aliases buf.
+//
+//cabd:hotpath
 func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
-	if k <= 0 || t.root == nil {
+	items := t.items
+	if k <= 0 || len(items) == 0 {
 		return nil
 	}
 	want := k
-	if want > t.n {
-		want = t.n
+	if want > len(items) {
+		want = len(items)
 	}
 	h := buf[:0]
 	if cap(h) < want {
 		h = make([]Neighbor, 0, want)
 	}
-	var stack [maxStack]frame
+	var stack [maxSpans]knnSpan
 	top := 0
-	cur := t.root
-	for cur != nil || top > 0 {
-		if cur == nil {
+	lo, hi, depth := 0, len(items), 0
+	for {
+		for lo >= hi {
+			if top == 0 {
+				ascendingSort(h)
+				return h
+			}
 			top--
-			f := stack[top]
+			f := &stack[top]
 			// Tie-aware pruning: descend the far side unless the split
 			// plane is strictly farther than the current worst neighbor —
 			// an equal-distance point beyond it could still win on index.
 			if len(h) == k && f.planeDist > h[0].Dist {
 				continue
 			}
-			cur = f.n
+			lo, hi, depth = f.unpack()
 		}
-		if cur.index != skipSelf {
-			d := dist(q, cur.point)
-			nb := Neighbor{Index: cur.index, Dist: d}
+		mid := int(uint(lo+hi) >> 1)
+		it := &items[mid]
+		if it.i != skipSelf {
+			nb := Neighbor{Index: it.i, Dist: dist(q, it.p)}
 			if len(h) < k {
 				h = append(h, nb)
 				siftUp(h, len(h)-1)
@@ -235,19 +263,16 @@ func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
 				siftDown(h, 0)
 			}
 		}
-		diff := q[cur.axis] - cur.point[cur.axis]
-		near, far := cur.left, cur.right
-		if diff > 0 {
-			near, far = cur.right, cur.left
-		}
-		if far != nil {
-			stack[top] = frame{n: far, planeDist: math.Abs(diff)}
+		axis := depth & 1
+		diff := q[axis] - it.p[axis]
+		depth++
+		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
+		if flo < fhi {
+			stack[top] = knnSpan{newSpan(flo, fhi, depth), math.Abs(diff)}
 			top++
 		}
-		cur = near
+		lo, hi = nlo, nhi
 	}
-	ascendingSort(h)
-	return h
 }
 
 // Rank returns how many indexed points (excluding skipSelf and the ranked
@@ -258,7 +283,7 @@ func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
 // neighbors of i iff r < k. The walk counts in place — no heap, no
 // allocation.
 func (t *KD) Rank(q [2]float64, d float64, tieIndex, skipSelf int) int {
-	return t.RankAtMost(q, d, tieIndex, skipSelf, t.n)
+	return t.RankAtMost(q, d, tieIndex, skipSelf, len(t.items))
 }
 
 // RankAtMost is Rank with an early exit: the walk stops as soon as the
@@ -269,71 +294,66 @@ func (t *KD) Rank(q [2]float64, d float64, tieIndex, skipSelf int) int {
 // strictly below limit the walk ran to completion and the result is the
 // exact rank. The near child is visited before the far child so the count
 // fills from the dense side out and the exit triggers early.
+//
+//cabd:hotpath
 func (t *KD) RankAtMost(q [2]float64, d float64, tieIndex, skipSelf, limit int) int {
-	count := 0
 	if limit <= 0 {
 		return 0
 	}
-	var stack [maxStack]*node
+	items := t.items
+	count := 0
+	var stack [maxSpans]span
 	top := 0
-	cur := t.root
-	for cur != nil || top > 0 {
-		if cur == nil {
+	lo, hi, depth := 0, len(items), 0
+	for {
+		if lo >= hi {
+			if top == 0 {
+				return count
+			}
 			top--
-			cur = stack[top]
+			lo, hi, depth = stack[top].unpack()
 		}
-		if cur.index != skipSelf && cur.index != tieIndex {
-			dd := dist(q, cur.point)
+		mid := int(uint(lo+hi) >> 1)
+		it := &items[mid]
+		if it.i != skipSelf && it.i != tieIndex {
+			dd := dist(q, it.p)
 			//cabd:lint-ignore floateq rank counting must mirror the exact (distance, index) tie order of the k-NN engine
-			if dd < d || (dd == d && cur.index < tieIndex) {
+			if dd < d || (dd == d && it.i < tieIndex) {
 				count++
 				if count >= limit {
 					return count
 				}
 			}
 		}
-		diff := q[cur.axis] - cur.point[cur.axis]
-		near, far := cur.left, cur.right
-		if diff > 0 {
-			near, far = cur.right, cur.left
-		}
+		axis := depth & 1
+		diff := q[axis] - it.p[axis]
+		depth++
+		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
 		// A far-side point is at least |diff| away; it can only tie or
 		// beat distance d when |diff| <= d.
-		if far != nil && math.Abs(diff) <= d {
-			stack[top] = far
+		if flo < fhi && math.Abs(diff) <= d {
+			stack[top] = newSpan(flo, fhi, depth)
 			top++
 		}
-		cur = near
+		lo, hi = nlo, nhi
 	}
-	return count
+}
+
+// children splits the span [lo, hi) around its node at mid into the side
+// of the split plane the query lies on and the other side; diff is the
+// query's offset from the plane, and a query on the plane goes left.
+func children(lo, mid, hi int, diff float64) (nearLo, nearHi, farLo, farHi int) {
+	if diff > 0 {
+		return mid + 1, hi, lo, mid
+	}
+	return lo, mid, mid + 1, hi
 }
 
 // CountWithin returns the number of points with distance <= r from q
 // (excluding skipSelf) in one allocation-free walk.
 func (t *KD) CountWithin(q [2]float64, r float64, skipSelf int) int {
 	count := 0
-	var stack [maxStack]*node
-	top := 0
-	cur := t.root
-	for cur != nil || top > 0 {
-		if cur == nil {
-			top--
-			cur = stack[top]
-		}
-		if cur.index != skipSelf && dist(q, cur.point) <= r {
-			count++
-		}
-		diff := q[cur.axis] - cur.point[cur.axis]
-		near, far := cur.left, cur.right
-		if diff > 0 {
-			near, far = cur.right, cur.left
-		}
-		if far != nil && math.Abs(diff) <= r {
-			stack[top] = far
-			top++
-		}
-		cur = near
-	}
+	t.within(q, r, skipSelf, func(Neighbor) { count++ })
 	return count
 }
 
@@ -347,34 +367,45 @@ func (t *KD) Within(q [2]float64, r float64, skipSelf int) []Neighbor {
 // slice aliases buf when its capacity suffices.
 func (t *KD) WithinInto(q [2]float64, r float64, skipSelf int, buf []Neighbor) []Neighbor {
 	out := buf[:0]
-	var stack [maxStack]*node
-	top := 0
-	cur := t.root
-	for cur != nil || top > 0 {
-		if cur == nil {
-			top--
-			cur = stack[top]
-		}
-		if cur.index != skipSelf {
-			if d := dist(q, cur.point); d <= r {
-				out = append(out, Neighbor{Index: cur.index, Dist: d})
-			}
-		}
-		diff := q[cur.axis] - cur.point[cur.axis]
-		near, far := cur.left, cur.right
-		if diff > 0 {
-			near, far = cur.right, cur.left
-		}
-		if far != nil && math.Abs(diff) <= r {
-			stack[top] = far
-			top++
-		}
-		cur = near
-	}
+	t.within(q, r, skipSelf, func(nb Neighbor) { out = append(out, nb) })
 	if len(out) == 0 {
 		return nil
 	}
 	return out
+}
+
+// within calls visit, in walk order, for every point other than skipSelf
+// with distance <= r from q.
+func (t *KD) within(q [2]float64, r float64, skipSelf int, visit func(Neighbor)) {
+	items := t.items
+	var stack [maxSpans]span
+	top := 0
+	lo, hi, depth := 0, len(items), 0
+	for {
+		if lo >= hi {
+			if top == 0 {
+				return
+			}
+			top--
+			lo, hi, depth = stack[top].unpack()
+		}
+		mid := int(uint(lo+hi) >> 1)
+		it := &items[mid]
+		if it.i != skipSelf {
+			if d := dist(q, it.p); d <= r {
+				visit(Neighbor{Index: it.i, Dist: d})
+			}
+		}
+		axis := depth & 1
+		diff := q[axis] - it.p[axis]
+		depth++
+		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
+		if flo < fhi && math.Abs(diff) <= r {
+			stack[top] = newSpan(flo, fhi, depth)
+			top++
+		}
+		lo, hi = nlo, nhi
+	}
 }
 
 // Dist returns the Euclidean distance between two embedded points — the

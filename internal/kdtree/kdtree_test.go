@@ -229,6 +229,13 @@ func TestRankMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: Rank(%d,%d) = %d, want %d (pts=%v)",
 					trial, i, j, got, want, pts)
 			}
+			// The bounded walk answers min(rank, limit) for any limit.
+			for _, limit := range []int{0, 1, got, got + 1, (i + j) % (n + 1)} {
+				if r := tr.RankAtMost(pts[i], dist(pts[i], pts[j]), j, i, limit); r != min(want, limit) {
+					t.Fatalf("trial %d: RankAtMost(%d,%d,%d) = %d, want %d",
+						trial, i, j, limit, r, min(want, limit))
+				}
+			}
 			// rank < k  <=>  j in KNN(i, k), for k around the rank.
 			for _, k := range []int{got, got + 1} {
 				if k == 0 {
@@ -306,6 +313,114 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestTinyAndDuplicateMatchBruteForce runs the KNN, Rank and Within
+// differentials over every query, k, limit and radius on the degenerate
+// trees: zero to three points, and point sets that are one point
+// repeated (the embedding of a flat series).
+func TestTinyAndDuplicateMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var sets [][][2]float64
+	for n := 0; n <= 3; n++ {
+		sets = append(sets, randomPoints(rng, n), gridPoints(rng, n))
+	}
+	for _, n := range []int{1, 2, 3, 8, 9, 40, 200} {
+		pts := make([][2]float64, n)
+		for i := range pts {
+			pts[i] = [2]float64{-1.5, 0.25}
+		}
+		sets = append(sets, pts)
+	}
+	for si, pts := range sets {
+		n := len(pts)
+		tr := New(pts)
+		if tr.Len() != n {
+			t.Fatalf("set %d: Len %d, want %d", si, tr.Len(), n)
+		}
+		// Sets small enough are probed exhaustively; the larger duplicate
+		// sets at the boundary values of every argument.
+		queries := append([][2]float64{{0, 0}, {-1.5, 0.25}}, pts...)
+		skips, ks, limits := seq(-1, n-1), seq(0, n+1), seq(0, n)
+		if n > 16 {
+			queries = queries[:3]
+			skips = []int{-1, 0, n / 2, n - 1}
+			ks = []int{0, 1, 8, n / 2, n - 1, n, n + 1}
+			limits = []int{0, 1, 8, n / 2, n - 1, n}
+		}
+		for _, q := range queries {
+			for _, skip := range skips {
+				for _, k := range ks {
+					got := tr.KNN(q, k, skip)
+					var want []Neighbor
+					if k > 0 {
+						want = bruteKNN(pts, q, k, skip)
+					}
+					if !equalNeighbors(got, want) {
+						t.Fatalf("set %d q=%v k=%d skip=%d: KNN %v, want %v", si, q, k, skip, got, want)
+					}
+				}
+				for _, r := range []float64{0, 0.5, 2, math.Inf(1)} {
+					var want []Neighbor
+					for i, p := range pts {
+						if i != skip && dist(q, p) <= r {
+							want = append(want, Neighbor{Index: i, Dist: dist(q, p)})
+						}
+					}
+					got := tr.Within(q, r, skip)
+					sort.Slice(got, func(a, b int) bool { return got[a].Index < got[b].Index })
+					if !equalNeighbors(got, want) || tr.CountWithin(q, r, skip) != len(want) {
+						t.Fatalf("set %d q=%v r=%v skip=%d: Within %v, want %v", si, q, r, skip, got, want)
+					}
+				}
+			}
+		}
+		for _, i := range skips[1:] {
+			for _, j := range skips[1:] {
+				if i == j {
+					continue
+				}
+				want := bruteRank(pts, pts[i], j, i)
+				for _, limit := range limits {
+					if got := tr.RankAtMost(pts[i], dist(pts[i], pts[j]), j, i, limit); got != min(want, limit) {
+						t.Fatalf("set %d: RankAtMost(%d,%d,%d) = %d, want %d", si, i, j, limit, got, min(want, limit))
+					}
+				}
+			}
+		}
+	}
+}
+
+// seq returns lo, lo+1, ..., hi.
+func seq(lo, hi int) []int {
+	var out []int
+	for v := lo; v <= hi; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
+func equalNeighbors(a, b []Neighbor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewAllocsConstant: a build allocates the item array and the handle,
+// nothing per point.
+func TestNewAllocsConstant(t *testing.T) {
+	for _, n := range []int{200, 5000, 50000} {
+		pts := randomPoints(rand.New(rand.NewSource(int64(n))), n)
+		if allocs := testing.AllocsPerRun(3, func() { New(pts) }); allocs != 2 {
+			t.Errorf("n=%d: New made %v allocations, want 2", n, allocs)
+		}
+	}
+}
+
 func TestKNNSortedAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := randomPoints(rng, 100)
@@ -350,3 +465,23 @@ func BenchmarkBuild(b *testing.B) {
 		New(pts)
 	}
 }
+
+// BenchmarkRankAtMost times the INN membership probe: a bounded rank walk
+// from each point to a near neighbor at the default k = 12 bound.
+func BenchmarkRankAtMost(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][2]float64, 2000)
+	for i := range pts {
+		pts[i] = [2]float64{float64(i) / 577, rng.NormFloat64()}
+	}
+	tr := New(pts)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := i % len(pts)
+		j := (q + 1 + i%7) % len(pts)
+		rankSink += tr.RankAtMost(pts[q], dist(pts[q], pts[j]), j, q, 12)
+	}
+}
+
+// rankSink keeps the benchmarked walks live.
+var rankSink int

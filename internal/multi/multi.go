@@ -224,11 +224,9 @@ func (d *Detector) run(ctx context.Context, s *Series, o core.Labeler) (*core.Re
 		degradeReason = fmt.Sprintf("candidate count %d exceeds bound %d", len(cands), bound)
 	}
 
-	// Joint embedding and neighborhood computation. All scoring workers
-	// share one bounded rank memo: overlapping neighborhoods make a
-	// pair's reverse probe a later candidate's forward probe.
+	// Joint embedding and neighborhood computation.
 	pts := embed(std)
-	comp := inn.NewNComputer(pts).WithRankMemo(0)
+	comp := inn.NewNComputer(pts)
 	sc := &mscorer{
 		opts:    d.opts,
 		std:     std,
@@ -243,10 +241,6 @@ func (d *Detector) run(ctx context.Context, s *Series, o core.Labeler) (*core.Re
 	t.Do(obs.StageINNScore, func() {
 		scoreErr = sc.scoreAll(ctx, cands, strat, zdim)
 	})
-	if hits, misses := comp.MemoStats(); hits+misses > 0 {
-		t.Add(obs.CounterRankMemoHits, hits)
-		t.Add(obs.CounterRankMemoMisses, misses)
-	}
 	if scoreErr != nil {
 		return nil, scoreErr
 	}

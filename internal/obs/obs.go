@@ -73,10 +73,6 @@ const (
 	// CounterBadStreamValues counts NaN/Inf/out-of-range observations
 	// intercepted by StreamDetector.Push.
 	CounterBadStreamValues
-	// CounterRankMemoHits / CounterRankMemoMisses count rank-probe memo
-	// lookups inside the INN engine.
-	CounterRankMemoHits
-	CounterRankMemoMisses
 	// CounterBatchSeries counts series processed by batch entry points;
 	// CounterBatchFailures counts the ones that returned an error.
 	CounterBatchSeries
@@ -120,7 +116,6 @@ const (
 var counterNames = [NumCounters]string{
 	"candidates_total", "oracle_queries_total", "degradations_total",
 	"panics_contained_total", "bad_stream_values_total",
-	"rank_memo_hits_total", "rank_memo_misses_total",
 	"batch_series_total", "batch_failures_total",
 	"http_requests_total", "http_shed_total",
 	"idle_evictions_total",

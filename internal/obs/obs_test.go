@@ -186,7 +186,7 @@ func TestStringers(t *testing.T) {
 	if StageSanitize.String() != "sanitize" || StageBatchSeries.String() != "batch_series" {
 		t.Fatal("stage names")
 	}
-	if CounterRankMemoHits.String() != "rank_memo_hits_total" {
+	if CounterCandidates.String() != "candidates_total" || CounterStreamHopTimeouts.String() != "stream_hop_timeouts_total" {
 		t.Fatal("counter names")
 	}
 	if GaugeStreamWindow.String() != "stream_window" {

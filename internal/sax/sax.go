@@ -141,32 +141,88 @@ func (c *Corpora) table(w int) *table {
 	return t
 }
 
-// build encodes every length-w window into one reused buffer and numbers
-// the distinct words in first-seen order. It allocates the id slice, the
-// buffer, the index and the counts once, plus one key per distinct word;
-// the index is sized for the 27-64 words of the small default alphabets,
-// so only wide word spaces regrow it.
+// laneWord is the longest word the four-window kernel encodes; longer
+// words (more than 16 segments) take encode one window at a time.
+const laneWord = 16
+
+// lanes holds the words of four consecutive windows.
+type lanes [4][laneWord]byte
+
+// build encodes every length-w window and gives each a word id. When the
+// a^size possible words number no more than the windows, a word's id is
+// its base-a letter value and counts has one slot per possible word, so
+// numbering a window is a few multiply-adds. Wider word spaces number
+// the distinct words in first-seen order through a map, which costs one
+// key per distinct word. Windows are encoded four at a time by encode4
+// while four remain and the kernel applies, the rest one at a time by
+// encode.
 func (t *table) build(xs []float64, w, m int, bp []float64) {
-	size := m
-	if size > w {
-		size = w
-	}
-	buf := make([]byte, size)
+	size := min(m, w)
+	a := len(bp) + 1
 	t.ids = make([]int32, len(xs)-w+1)
-	index := make(map[string]int32, min(len(t.ids), 64))
-	for lo := range t.ids {
-		encode(buf, xs[lo:lo+w], bp)
-		id, ok := index[string(buf)]
-		if !ok {
-			id = int32(len(index))
-			index[string(buf)] = id
-		}
-		t.ids[lo] = id
+	var index map[string]int32
+	if slots := wordSpace(a, size, len(t.ids)); slots > 0 {
+		t.counts = make([]int32, slots)
+	} else {
+		index = make(map[string]int32, min(len(t.ids), 64))
 	}
-	t.counts = make([]int32, len(index))
+	var ln lanes
+	lo := 0
+	if size < w && size <= laneWord {
+		for ; lo+4 <= len(t.ids); lo += 4 {
+			encode4(&ln, xs[lo:lo+w+3], w, size, bp)
+			for k := range ln {
+				t.ids[lo+k] = wordID(ln[k][:size], a, index)
+			}
+		}
+	}
+	var buf []byte
+	if size <= laneWord {
+		buf = ln[0][:size]
+	} else {
+		buf = make([]byte, size)
+	}
+	for ; lo < len(t.ids); lo++ {
+		encode(buf, xs[lo:lo+w], bp)
+		t.ids[lo] = wordID(buf, a, index)
+	}
+	if index != nil {
+		t.counts = make([]int32, len(index))
+	}
 	for _, id := range t.ids {
 		t.counts[id]++
 	}
+}
+
+// wordSpace returns a^size, the number of possible words, when it is at
+// most limit, and 0 when it is larger.
+func wordSpace(a, size, limit int) int {
+	slots := 1
+	for range size {
+		slots *= a
+		if slots > limit {
+			return 0
+		}
+	}
+	return slots
+}
+
+// wordID numbers word: its base-a letter value when index is nil, else
+// its first-seen position in index, which it joins if new.
+func wordID(word []byte, a int, index map[string]int32) int32 {
+	if index == nil {
+		id := 0
+		for _, b := range word {
+			id = id*a + int(b-'a')
+		}
+		return int32(id)
+	}
+	id, ok := index[string(word)]
+	if !ok {
+		id = int32(len(index))
+		index[string(word)] = id
+	}
+	return id
 }
 
 // encode writes the SAX word of win into buf, which holds min(m,
@@ -222,6 +278,81 @@ func encode(buf []byte, win []float64, bp []float64) {
 		cnt++
 	}
 	buf[seg] = letter(sum/float64(cnt), bp)
+}
+
+// encode4 writes the words of the four length-n windows starting at
+// xs[0], xs[1], xs[2] and xs[3] into ln[0..3][:m], for 1 <= m < n and m <=
+// laneWord. xs holds n+3 values. Each window runs encode's arithmetic in
+// encode's order on its own accumulators, so every word is bit-identical
+// to encode's; the four chains are independent, so their additions
+// overlap instead of waiting on one another. The lanes are spelled out:
+// a loop over lanes measured slower than one window at a time.
+//
+//cabd:hotpath
+func encode4(ln *lanes, xs []float64, n, m int, bp []float64) {
+	xs = xs[:n+3]
+	var s0, s1, s2, s3 float64
+	for j := 0; j < n; j++ {
+		s0 += xs[j]
+		s1 += xs[j+1]
+		s2 += xs[j+2]
+		s3 += xs[j+3]
+	}
+	fn := float64(n)
+	mean0, mean1, mean2, mean3 := s0/fn, s1/fn, s2/fn, s3/fn
+	var sd0, sd1, sd2, sd3 float64
+	if n >= 2 {
+		var ss0, ss1, ss2, ss3 float64
+		for j := 0; j < n; j++ {
+			d0 := xs[j] - mean0
+			d1 := xs[j+1] - mean1
+			d2 := xs[j+2] - mean2
+			d3 := xs[j+3] - mean3
+			ss0 += d0 * d0
+			ss1 += d1 * d1
+			ss2 += d2 * d2
+			ss3 += d3 * d3
+		}
+		sd0, sd1, sd2, sd3 = math.Sqrt(ss0/fn), math.Sqrt(ss1/fn), math.Sqrt(ss2/fn), math.Sqrt(ss3/fn)
+	}
+	// Fractional PAA as in encode; the segment boundaries depend only on
+	// n and m, so the four windows share them.
+	seg, cnt := 0, 0
+	var sum0, sum1, sum2, sum3 float64
+	for j := 0; j < n; j++ {
+		if k := j * m / n; k != seg {
+			c := float64(cnt)
+			ln[0][seg] = letter(sum0/c, bp)
+			ln[1][seg] = letter(sum1/c, bp)
+			ln[2][seg] = letter(sum2/c, bp)
+			ln[3][seg] = letter(sum3/c, bp)
+			seg, cnt = k, 0
+			sum0, sum1, sum2, sum3 = 0, 0, 0, 0
+		}
+		z0, z1, z2, z3 := 0.0, 0.0, 0.0, 0.0
+		if sd0 != 0 {
+			z0 = (xs[j] - mean0) / sd0
+		}
+		if sd1 != 0 {
+			z1 = (xs[j+1] - mean1) / sd1
+		}
+		if sd2 != 0 {
+			z2 = (xs[j+2] - mean2) / sd2
+		}
+		if sd3 != 0 {
+			z3 = (xs[j+3] - mean3) / sd3
+		}
+		sum0 += z0
+		sum1 += z1
+		sum2 += z2
+		sum3 += z3
+		cnt++
+	}
+	c := float64(cnt)
+	ln[0][seg] = letter(sum0/c, bp)
+	ln[1][seg] = letter(sum1/c, bp)
+	ln[2][seg] = letter(sum2/c, bp)
+	ln[3][seg] = letter(sum3/c, bp)
 }
 
 // MinDist is the SAX lower-bounding distance between two equal-length

@@ -287,28 +287,54 @@ func corpusSeries(rng *rand.Rand, n int) []float64 {
 }
 
 // TestCorporaMatchesReference is the differential: on randomized series,
-// every window's encoded word equals Word, and Corpora.Frequency equals
-// Frequency over SlidingWords bit for bit.
+// every window's word from encode and from the four-window kernel equals
+// Word, and Corpora.Frequency equals Frequency over SlidingWords bit for
+// bit. The trials must reach window counts of every residue mod 4 (the
+// kernel's tail), and word spaces a^m on both sides of the integer-id cut.
 func TestCorporaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var residues [4]int
+	var direct, mapped int
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(90)
 		xs := corpusSeries(rng, n)
 		a := 1 + rng.Intn(10)
+		bp := Breakpoints(a)
 		for _, w := range []int{1, 2, 1 + rng.Intn(n), n} {
 			if w > n {
 				continue
 			}
-			for _, m := range []int{1, w, w + 3, 1 + rng.Intn(8)} {
+			for _, m := range []int{1, w, w + 3, 1 + rng.Intn(8), laneWord + 1} {
+				size := min(m, w)
+				nwin := n - w + 1
 				c := NewCorpora(xs, m, a)
 				words := SlidingWords(xs, w, m, a)
-				buf := make([]byte, min(m, w))
+				buf := make([]byte, size)
+				var ln lanes
+				kernel := size < w && size <= laneWord
+				if kernel && a >= 2 {
+					residues[nwin%4]++
+					if wordSpace(a, size, nwin) > 0 {
+						direct++
+					} else {
+						mapped++
+					}
+				}
 				for lo := 0; lo+w <= n; lo++ {
 					ref := Word(xs[lo:lo+w], m, a)
-					encode(buf, xs[lo:lo+w], Breakpoints(a))
+					encode(buf, xs[lo:lo+w], bp)
 					if string(buf) != ref {
 						t.Fatalf("trial %d n=%d w=%d m=%d a=%d lo=%d: encode %q, Word %q",
 							trial, n, w, m, a, lo, buf, ref)
+					}
+					if kernel && lo+w+3 <= n {
+						encode4(&ln, xs[lo:lo+w+3], w, size, bp)
+						for k := range ln {
+							if got, want := string(ln[k][:size]), Word(xs[lo+k:lo+k+w], m, a); got != want {
+								t.Fatalf("trial %d n=%d w=%d m=%d a=%d lo=%d lane %d: encode4 %q, Word %q",
+									trial, n, w, m, a, lo, k, got, want)
+							}
+						}
 					}
 					got := c.Frequency(lo, lo+w)
 					want := Frequency(words, ref)
@@ -319,6 +345,29 @@ func TestCorporaMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	// At the cut itself: 3^3 = 27 possible words against 26, 27 and 28
+	// windows.
+	for nwin := 26; nwin <= 28; nwin++ {
+		w := 8
+		xs := corpusSeries(rng, nwin+w-1)
+		c := NewCorpora(xs, 3, 3)
+		words := SlidingWords(xs, w, 3, 3)
+		for lo := 0; lo < nwin; lo++ {
+			got, want := c.Frequency(lo, lo+w), Frequency(words, words[lo])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d windows, lo=%d: Frequency %v, reference %v", nwin, lo, got, want)
+			}
+		}
+	}
+	t.Logf("kernel tables by window count mod 4: %v; integer ids %d, map %d", residues, direct, mapped)
+	for r, cnt := range residues {
+		if cnt == 0 {
+			t.Errorf("no kernel table had a window count of %d mod 4", r)
+		}
+	}
+	if direct == 0 || mapped == 0 {
+		t.Errorf("kernel tables: %d with integer ids, %d through the map; want both", direct, mapped)
 	}
 }
 
@@ -348,25 +397,29 @@ func TestCorporaDegenerate(t *testing.T) {
 }
 
 // TestCorporaBuildAllocs: building one length's table costs a constant
-// number of allocations plus at most one per distinct word, however long
-// the series — the encoder itself allocates nothing per window.
+// number of allocations, however long the series — the encoders allocate
+// nothing per window. With integer word ids (4^3 = 64 possible words, no
+// more than the windows) nothing is added per distinct word; below the
+// cut (45 windows) the map numbering adds one key per distinct word.
 func TestCorporaBuildAllocs(t *testing.T) {
-	// The Corpora, its breakpoints and table map, the table, its word
-	// buffer, id slice, index and counts: about a dozen, for any n.
+	// The Corpora, its breakpoints and table map, the table, its id
+	// slice, index and counts: under a dozen, for any n.
 	const budget = 12
-	for _, n := range []int{200, 5000, 50000} {
+	for _, n := range []int{60, 200, 5000, 50000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
 		}
-		distinct := len(NewCorpora(xs, 3, 4).table(16).counts)
+		limit := budget
+		if wordSpace(4, 3, n-16+1) == 0 {
+			limit += len(NewCorpora(xs, 3, 4).table(16).counts)
+		}
 		allocs := testing.AllocsPerRun(5, func() {
 			NewCorpora(xs, 3, 4).Frequency(0, 16)
 		})
-		if allocs > float64(budget+distinct) {
-			t.Errorf("n=%d: %v allocations for %d distinct words, want <= %d",
-				n, allocs, distinct, budget+distinct)
+		if allocs > float64(limit) {
+			t.Errorf("n=%d: %v allocations, want <= %d", n, allocs, limit)
 		}
 	}
 }

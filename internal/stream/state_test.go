@@ -93,3 +93,38 @@ func TestStateEmptyRoundTrip(t *testing.T) {
 		t.Fatalf("first push emitted %v", out)
 	}
 }
+
+// TestResumeRepairsWindow: Resume holds a restored window to Push's value
+// test. Bad values take the nearest good value before them (after them
+// when they lead), count as bad, and leave the stream position alone; a
+// window with no good value is dropped with Start moved past it; a bad
+// LastGood is forgotten.
+func TestResumeRepairsWindow(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		window    []float64
+		lastGood  float64
+		want      []float64
+		wantStart int
+		wantBad   int
+		wantGood  bool
+	}{
+		{"clean", []float64{1, 2, 3}, 3, []float64{1, 2, 3}, 10, 0, true},
+		{"leading, inner and trailing", []float64{nan, -inf, 1, 2, inf, 3, 1e300},
+			3, []float64{1, 1, 1, 2, 2, 3, 3}, 10, 4, true},
+		{"no good value", []float64{nan, inf, -1e200}, 7, nil, 13, 3, true},
+		{"bad last good", []float64{1, 2}, 1e300, []float64{1, 2}, 10, 0, false},
+	}
+	for _, tc := range cases {
+		st := State{Window: append([]float64(nil), tc.window...), Start: 10, Total: 10 + len(tc.window),
+			Bad: 1, LastGood: tc.lastGood, HasGood: true, Emitted: []int{11}}
+		got := Resume(streamCfg(), st).State()
+		if !reflect.DeepEqual(got.Window, tc.want) || got.Start != tc.wantStart || got.Bad != 1+tc.wantBad ||
+			got.Total != st.Total || got.HasGood != tc.wantGood {
+			t.Errorf("%s: window %v start %d bad %d total %d has-good %v; want %v, %d, %d, %d, %v",
+				tc.name, got.Window, got.Start, got.Bad, got.Total, got.HasGood,
+				tc.want, tc.wantStart, 1+tc.wantBad, st.Total, tc.wantGood)
+		}
+	}
+}

@@ -174,6 +174,13 @@ func (d *Detector) State() State {
 // Resume rebuilds a detector from a checkpointed State under cfg. The
 // configuration is not part of the state — a resumed agent applies its
 // (possibly reloaded) config to the restored stream position.
+//
+// A restored window is input like any other, so each value must pass the
+// test Push applies. A value that fails is replaced by the nearest good
+// value before it, or after it when it leads the window, and is counted
+// in Bad; positions, Start, Total and the emitted indices stay as they
+// were. A window with no good value is dropped, and Start moves past it.
+// A LastGood that fails the test is forgotten.
 func Resume(cfg Config, st State) *Detector {
 	d := New(cfg)
 	d.buf = append(d.buf, st.Window...)
@@ -181,12 +188,47 @@ func Resume(cfg Config, st State) *Detector {
 	d.total = st.Total
 	d.sinceRun = st.SinceRun
 	d.bad = st.Bad
-	d.lastGood = st.LastGood
-	d.hasGood = st.HasGood
+	if st.HasGood && sanitize.Finite(st.LastGood, sanitize.DefaultMaxAbs) {
+		d.lastGood, d.hasGood = st.LastGood, true
+	}
 	for _, idx := range st.Emitted {
 		d.emitted[idx] = true
 	}
+	if bad := repairWindow(d.buf); bad > 0 {
+		d.bad += bad
+		if bad == len(d.buf) {
+			d.start += len(d.buf)
+			d.buf = d.buf[:0]
+		}
+	}
 	return d
+}
+
+// repairWindow replaces every value of w that fails Push's test with the
+// nearest good value before it, or with the first good value when none
+// precedes it, and returns how many values failed. When all of them fail
+// w is left as it is.
+func repairWindow(w []float64) (bad int) {
+	seen := false
+	var good float64
+	for i, v := range w {
+		switch {
+		case sanitize.Finite(v, sanitize.DefaultMaxAbs):
+			if !seen {
+				for j := range w[:i] {
+					w[j] = v
+				}
+				seen = true
+			}
+			good = v
+		case seen:
+			w[i] = good
+			bad++
+		default:
+			bad++
+		}
+	}
+	return bad
 }
 
 // Push appends one observation and returns any newly confirmed

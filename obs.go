@@ -4,7 +4,7 @@ import "cabd/internal/obs"
 
 // Recorder aggregates pipeline metrics: per-stage duration histograms,
 // monotonic counters (candidates, oracle queries, degradations, contained
-// panics, rank-memo hits/misses, batch and stream activity) and gauges.
+// panics, batch and stream activity) and gauges.
 // Install one on Options.Obs to instrument detection; a single recorder
 // may be shared by any number of detectors, batch workers and streaming
 // pushes. A nil recorder — the default — disables instrumentation with

@@ -268,3 +268,40 @@ func TestDropPolicyRemapsIndices(t *testing.T) {
 		t.Errorf("spike at original index %d not among detections %v", spike, all)
 	}
 }
+
+// TestResumeStreamRepairsBadWindow: a restored window is hostile input
+// too. A 301-value window whose last value is NaN, +Inf or 1e300 (finite,
+// and it survives JSON, but beyond what Push accepts) used to panic the
+// next analyzing Push inside the KD-tree build. Resume replaces the value
+// with its nearest good neighbor and counts it as bad; the stream position
+// is unchanged.
+func TestResumeStreamRepairsBadWindow(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		win := noisy(3, 301, 150)
+		win[300] = bad
+		d := ResumeStream(StreamConfig{Window: 256}, StreamState{Window: win, Start: 1000, Total: 1301, Bad: 2})
+		if d.Bad() != 3 {
+			t.Errorf("bad=%v: Bad() = %d, want 3", bad, d.Bad())
+		}
+		st := d.State()
+		if len(st.Window) != 301 || st.Start != 1000 || st.Total != 1301 {
+			t.Fatalf("bad=%v: restored %d values, start %d, total %d; want 301, 1000, 1301",
+				bad, len(st.Window), st.Start, st.Total)
+		}
+		if st.Window[300] != win[299] {
+			t.Errorf("bad=%v: restored window[300] = %v, want its neighbor %v", bad, st.Window[300], win[299])
+		}
+		analyzed := false
+		for i := 0; i < 64; i++ {
+			for _, det := range d.Push(math.Sin(float64(i) / 7)) {
+				analyzed = true
+				if det.Index < 1000 || det.Index >= 1301+64 {
+					t.Errorf("bad=%v: detection index %d outside the stream", bad, det.Index)
+				}
+			}
+		}
+		if !analyzed {
+			t.Errorf("bad=%v: no detection after 64 pushes past the restored window", bad)
+		}
+	}
+}
