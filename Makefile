@@ -68,50 +68,31 @@ scenario-smoke:
 
 check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 
-# Coverage floor for the observability layer: pure bookkeeping code with a
-# deterministic fake clock has no excuse for untested branches.
-OBS_COVER_FLOOR := 90
-# Coverage floor for the lint engine (the analyzers plus the cfg and
-# dataflow packages backing the path-sensitive rules): an analyzer whose
-# branches go untested silently stops enforcing its invariant.
-LINT_COVER_FLOOR := 85
-# Coverage floor for the forest: the classifier's batch/parallel fast
-# paths are promised bit-identical to their sequential oracles, and an
-# untested branch there is an unverified promise.
-FOREST_COVER_FLOOR := 85
-# Coverage floor for the multivariate detector: its parallel scoring,
-# degradation and collective-merge paths all promise oracle equality,
-# so untested branches there are unverified promises too.
-MULTI_COVER_FLOOR := 85
+# Coverage floors, one package:percent pair per gated package:
+#   internal/obs (90): pure bookkeeping code with a deterministic fake
+#     clock has no excuse for untested branches.
+#   internal/lint/... (85): the analyzers plus the cfg and dataflow
+#     packages backing the path-sensitive rules; an analyzer whose
+#     branches go untested silently stops enforcing its invariant.
+#   internal/ml/forest (85): the classifier's batch/parallel fast paths
+#     are promised bit-identical to their sequential oracles, and an
+#     untested branch there is an unverified promise.
+#   internal/multi (85): the multivariate detector's candidate union,
+#     top-z guard and collective merge promise golden and oracle
+#     equality, so untested branches there are unverified promises too.
+COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/multi:85
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/obs
-	@$(GO) tool cover -func=cover.out | awk '/^total:/ { \
-		sub(/%/, "", $$3); \
-		if ($$3 + 0 < $(OBS_COVER_FLOOR)) { \
-			printf "internal/obs coverage %s%% is below the $(OBS_COVER_FLOOR)%% floor\n", $$3; exit 1 \
-		} \
-		printf "internal/obs coverage %s%% (floor $(OBS_COVER_FLOOR)%%)\n", $$3 }'
-	$(GO) test -coverprofile=cover-lint.out ./internal/lint/...
-	@$(GO) tool cover -func=cover-lint.out | awk '/^total:/ { \
-		sub(/%/, "", $$3); \
-		if ($$3 + 0 < $(LINT_COVER_FLOOR)) { \
-			printf "internal/lint coverage %s%% is below the $(LINT_COVER_FLOOR)%% floor\n", $$3; exit 1 \
-		} \
-		printf "internal/lint coverage %s%% (floor $(LINT_COVER_FLOOR)%%)\n", $$3 }'
-	$(GO) test -coverprofile=cover-forest.out ./internal/ml/forest
-	@$(GO) tool cover -func=cover-forest.out | awk '/^total:/ { \
-		sub(/%/, "", $$3); \
-		if ($$3 + 0 < $(FOREST_COVER_FLOOR)) { \
-			printf "internal/ml/forest coverage %s%% is below the $(FOREST_COVER_FLOOR)%% floor\n", $$3; exit 1 \
-		} \
-		printf "internal/ml/forest coverage %s%% (floor $(FOREST_COVER_FLOOR)%%)\n", $$3 }'
-	$(GO) test -coverprofile=cover-multi.out ./internal/multi
-	@$(GO) tool cover -func=cover-multi.out | awk '/^total:/ { \
-		sub(/%/, "", $$3); \
-		if ($$3 + 0 < $(MULTI_COVER_FLOOR)) { \
-			printf "internal/multi coverage %s%% is below the $(MULTI_COVER_FLOOR)%% floor\n", $$3; exit 1 \
-		} \
-		printf "internal/multi coverage %s%% (floor $(MULTI_COVER_FLOOR)%%)\n", $$3 }'
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%:*}; floor=$${pf##*:}; name=$${pkg%/...}; \
+		echo "$(GO) test -coverprofile=cover.out ./$$pkg"; \
+		$(GO) test -coverprofile=cover.out ./$$pkg || exit 1; \
+		$(GO) tool cover -func=cover.out | awk -v name=$$name -v floor=$$floor '/^total:/ { \
+			sub(/%/, "", $$3); \
+			if ($$3 + 0 < floor + 0) { \
+				printf "%s coverage %s%% is below the %s%% floor\n", name, $$3, floor; exit 1 \
+			} \
+			printf "%s coverage %s%% (floor %s%%)\n", name, $$3, floor }' || exit 1; \
+	done
 
 # Short native fuzzing campaigns against the sanitizing entry points.
 fuzz:

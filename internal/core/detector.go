@@ -70,20 +70,13 @@ func (d *Detector) DetectActiveCtx(ctx context.Context, s *series.Series, o Labe
 
 func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Result, error) {
 	t := d.opts.Obs.NewTrace()
-	res := &Result{Strategy: d.opts.Strategy}
 	n := s.Len()
 	if n < 4 {
-		return res, nil
+		return &Result{Strategy: d.opts.Strategy}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Standardization (Equation 2) feeds exactly one consumer: the 2-D
-	// embedding the INN distances are measured in. Candidate estimation,
-	// SAX words and the variance ratio are affine-invariant, so they run
-	// on the raw values and never pay for a standardized copy.
-	zs := &series.Series{Name: s.Name, Values: stats.Standardize(s.Values)}
 
 	// Step 1: candidate estimation.
 	var idx []int
@@ -92,13 +85,38 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Resul
 		idx, zscores = candidateIndices(s, d.opts.CandidateZ)
 	})
 	if len(idx) == 0 {
-		res.Stages = t.Timings()
-		return res, nil
+		return &Result{Strategy: d.opts.Strategy, Stages: t.Timings()}, nil
 	}
 	cands := make([]Candidate, len(idx))
 	for i, ci := range idx {
 		cands[i] = Candidate{Index: ci, SecondDiffZ: zscores[i]}
 	}
+
+	// Standardization (Equation 2) feeds exactly one consumer: the 2-D
+	// embedding the INN distances are measured in. Candidate estimation,
+	// SAX words and the variance ratio are affine-invariant, so they run
+	// on the raw values and never pay for a standardized copy.
+	zs := &series.Series{Name: s.Name, Values: stats.Standardize(s.Values)}
+	return d.DetectCandidatesCtx(ctx, t, [][]float64{s.Values}, inn.FromSeries(zs), cands, o)
+}
+
+// DetectCandidatesCtx finishes a detection from estimated candidates:
+// it scores them over chans (Algorithm 3), then runs the Score
+// Evaluation and CAL stages (Algorithm 2 lines 4-5, Algorithm 4) and
+// assembles the detections. chans holds one or more equal-length
+// channels — the raw values of a univariate series, or the standardized
+// channels of a multivariate one — and comp indexes the embedding the
+// neighborhoods are grown in. Each candidate's Channel names the
+// channel whose SAX words its correlation score reads. With two or more
+// channels the classifier also receives the cross-channel decorrelation
+// column. t is the run's trace (nil without a recorder); the Result's
+// Stages cover everything recorded on it.
+//
+// Two graceful degradations apply, as in Detect: a candidate count
+// above Options.DegradeCandidates switches to the fixed-k neighborhood,
+// and so does a context deadline too close for the configured strategy.
+func (d *Detector) DetectCandidatesCtx(ctx context.Context, t *obs.Trace, chans [][]float64, comp *inn.Computer, cands []Candidate, o Labeler) (*Result, error) {
+	n := len(chans[0])
 	t.Add(obs.CounterCandidates, int64(len(cands)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,7 +134,7 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Resul
 
 	// Step 2: score computation (parallel, Algorithm 3). The scorer may
 	// degrade further when the context deadline leaves no headroom.
-	sc := newScorer(s.Values, inn.FromSeries(zs), opts)
+	sc := newScorer(chans, comp, opts)
 	// The scorer's SoA feature matrix comes from a pool; hand it back
 	// once evaluation no longer reads the columns.
 	defer func() { putFeatMatrix(sc.feats) }()
@@ -132,7 +150,7 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Resul
 		degradeReason = "context deadline headroom too small for INN scoring"
 	}
 
-	res, err := d.evaluateCtx(ctx, cands, n, o, t, sc.feats)
+	res, err := d.evaluate(ctx, cands, n, o, t, sc.feats)
 	if err != nil {
 		return nil, err
 	}
@@ -146,50 +164,21 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler) (*Resul
 	return res, nil
 }
 
-// EvaluateCandidates runs the Score Evaluation and CAL stages (Algorithm
-// 2 lines 4-5, Algorithm 4) over pre-scored candidates and assembles the
-// detections: hypothesis bootstrap, probabilistic classification, and —
-// when a labeler is supplied — the uncertainty-sampling loop until every
-// confidence weight clears γ or the query budget runs out. n is the
-// series length (for magnitude-rule bookkeeping and index bounds).
-// Exposed so the multivariate extension can feed candidates built from
-// its own embedding through the identical evaluation machinery.
-func (d *Detector) EvaluateCandidates(cands []Candidate, n int, o Labeler) *Result {
-	res, _ := d.EvaluateCandidatesCtx(context.Background(), cands, n, o)
-	return res
-}
-
-// EvaluateCandidatesCtx is EvaluateCandidates with cancellation checks
-// before every random-forest training pass — the expensive inner step —
-// and between active-learning rounds.
-func (d *Detector) EvaluateCandidatesCtx(ctx context.Context, cands []Candidate, n int, o Labeler) (*Result, error) {
-	t := d.opts.Obs.NewTrace()
-	res, err := d.evaluateCtx(ctx, cands, n, o, t, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stages = t.Timings()
-	return res, nil
-}
-
-// evaluateCtx is the trace-carrying core of EvaluateCandidatesCtx; run()
-// passes its own trace so the per-run StageTimings cover the whole
-// pipeline, while the exported entry point opens a fresh one. fm is the
-// SoA feature matrix the scoring workers filled; a nil fm (candidates
-// scored elsewhere, e.g. the multivariate extension) is assembled here
-// from the candidates' score fields.
-func (d *Detector) evaluateCtx(ctx context.Context, cands []Candidate, n int, o Labeler, t *obs.Trace, fm *featMatrix) (*Result, error) {
+// evaluate runs the Score Evaluation and CAL stages over scored
+// candidates: hypothesis bootstrap, probabilistic classification over
+// the SoA feature matrix fm the scoring workers filled, and — when a
+// labeler is supplied — the uncertainty-sampling loop until every
+// confidence weight clears γ or the query budget runs out. ctx is
+// checked before every random-forest training pass and between
+// active-learning rounds. n is the series length (for magnitude-rule
+// bookkeeping and index bounds).
+func (d *Detector) evaluate(ctx context.Context, cands []Candidate, n int, o Labeler, t *obs.Trace, fm *featMatrix) (*Result, error) {
 	res := &Result{Strategy: d.opts.Strategy}
 	if len(cands) == 0 {
 		return res, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if fm == nil {
-		fm = getFeatMatrix(len(cands), featWidth(&d.opts))
-		fm.fillFromCandidates(cands, &d.opts)
-		defer putFeatMatrix(fm)
 	}
 	m := fm.matrix()
 	scr := &clsScratch{}
@@ -335,7 +324,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 		NumClasses: NumClasses,
 	}
 	if d.opts.SeqOracle {
-		return d.classifySeq(cands, y, w, cfg, trueLabels, rng, scr)
+		return d.classifySeq(cands, len(m.Cols), y, w, cfg, trueLabels, rng, scr)
 	}
 	fr := forest.TrainMatrixWeighted(m, y, w, cfg, rng)
 	if fr == nil {
@@ -371,7 +360,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 // training, and per-row inference. Kept verbatim so the determinism
 // suite and the scale benchmark can prove the optimized path emits
 // bit-identical detections.
-func (d *Detector) classifySeq(cands []Candidate, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
+func (d *Detector) classifySeq(cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
 	n := len(cands)
 	cfg.Workers = 1
 	if len(scr.X) < n {
@@ -379,7 +368,7 @@ func (d *Detector) classifySeq(cands []Candidate, y []int, w []float64, cfg fore
 	}
 	X := scr.X[:n]
 	for i := range cands {
-		X[i] = cands[i].features(d.opts)
+		X[i] = cands[i].features(d.opts, width)
 	}
 	fr := forest.TrainWeighted(X, y, w, cfg, rng)
 	for i := range cands {

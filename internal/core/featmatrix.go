@@ -8,18 +8,19 @@ import (
 
 // Classifier feature-vector widths: the paper's three INN scores plus
 // the asymmetry extension (see Candidate.features) form the base
-// layout; Options.XChannelCorr appends the multivariate cross-channel
-// decorrelation column.
+// layout; two or more channels append the cross-channel decorrelation
+// column.
 const (
 	baseFeatures = 4
 	maxFeatures  = 5
 )
 
-// featWidth resolves the active feature-vector width of an option set.
-// The width changes the forest's RNG consumption, so it must be a pure
-// function of Options — never of the data.
-func featWidth(o *Options) int {
-	if o.XChannelCorr {
+// featWidth resolves the feature-vector width for an input of the given
+// channel count. The width changes the forest's RNG consumption, so it
+// depends on the input's shape, never on its values: a univariate series
+// always trains on the 4-feature layout.
+func featWidth(channels int) int {
+	if channels >= 2 {
 		return maxFeatures
 	}
 	return baseFeatures
@@ -95,16 +96,5 @@ func (m *featMatrix) fill(i int, c *Candidate, opts *Options) {
 	m.cols[3][i] = c.Asymmetry
 	if m.width > baseFeatures {
 		m.cols[4][i] = c.XCorr
-	}
-}
-
-// fillFromCandidates populates the whole matrix from already-scored
-// candidates — the entry path for EvaluateCandidates callers that hand
-// in candidates scored elsewhere (e.g. the multivariate extension).
-//
-//cabd:hotpath
-func (m *featMatrix) fillFromCandidates(cands []Candidate, opts *Options) {
-	for i := range cands {
-		m.fill(i, &cands[i], opts)
 	}
 }

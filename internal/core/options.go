@@ -67,13 +67,6 @@ type Options struct {
 	DisableCorrelation bool
 	DisableVariance    bool
 
-	// XChannelCorr enables the cross-channel correlation feature as a
-	// fifth classifier column (Candidate.XCorr). Only the multivariate
-	// detector sets it (for d >= 2 channels); the univariate pipeline
-	// keeps the 4-feature layout, so its forest RNG consumption — and
-	// therefore its detections — stay bit-identical.
-	XChannelCorr bool
-
 	// SAXSegments / SAXAlphabet parameterize the correlation score's
 	// symbolic representation (Definitions 6-8). Defaults 3 and 3 (a
 	// coarse word space keeps common shapes genuinely frequent). An

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -13,17 +14,19 @@ import (
 )
 
 // scorer computes the score metric β (Algorithm 3) for candidates of one
-// series. It works on the raw values: every score it computes — SAX words
-// (standardized per window), the variance ratio, the INN-derived sizes —
-// is invariant under the affine standardization of Equation 2, so only
-// the Computer (which measures distances in the standardized embedding)
-// ever sees standardized data.
+// series over its channels: the raw values of a univariate series, or
+// the standardized channels of a multivariate one. Every score it
+// computes — SAX words (standardized per window), the variance ratio,
+// the INN-derived sizes — is invariant under the affine standardization
+// of Equation 2, so a univariate series is scored on its raw values and
+// only the Computer (which measures distances in the standardized
+// embedding) ever sees standardized data.
 type scorer struct {
 	opts    Options
-	values  []float64 // raw values
+	chans   [][]float64 // one slice per channel, all of one length
 	comp    *inn.Computer
-	tlim    int          // pruned search range
-	corpora *sax.Corpora // counted SAX words of values, per window length
+	tlim    int            // pruned search range
+	corpora []*sax.Corpora // counted SAX words per channel and window length
 
 	// resolved is the neighborhood strategy scoring actually ran with.
 	// scoreAll fixes it BEFORE the worker pool starts — the deadline
@@ -48,13 +51,17 @@ type scorer struct {
 	forceDegrade bool
 }
 
-func newScorer(values []float64, comp *inn.Computer, opts Options) *scorer {
+func newScorer(chans [][]float64, comp *inn.Computer, opts Options) *scorer {
+	corpora := make([]*sax.Corpora, len(chans))
+	for k, ch := range chans {
+		corpora[k] = sax.NewCorpora(ch, opts.SAXSegments, opts.SAXAlphabet)
+	}
 	return &scorer{
 		opts:     opts,
 		comp:     comp,
-		values:   values,
+		chans:    chans,
 		tlim:     comp.RangeLimit(opts.RangeFrac),
-		corpora:  sax.NewCorpora(values, opts.SAXSegments, opts.SAXAlphabet),
+		corpora:  corpora,
 		clk:      opts.Obs.Clock(),
 		resolved: opts.Strategy,
 	}
@@ -93,14 +100,15 @@ func hull(i int, nb []int) (lo, hi int) {
 }
 
 // score fills in the three INN scores of candidate c (Definitions 5, 8,
-// 9; see DESIGN.md for the interpretation notes). It runs once per
+// 9; see DESIGN.md for the interpretation notes), plus the cross-channel
+// decorrelation when there are two or more channels. It runs once per
 // candidate inside the scoreAll worker pool and must not allocate: the
-// variance score views the pattern's flanks through stats.Std2 instead
-// of materializing the cut window.
+// variance score views the pattern's flanks through stats.Variance2
+// instead of materializing the cut window.
 //
 //cabd:hotpath
 func (sc *scorer) score(c *Candidate, strategy Strategy) {
-	n := len(sc.values)
+	n := len(sc.chans[0])
 	c.INN = sc.neighborhood(c.Index, strategy)
 	ss := len(c.INN)
 
@@ -115,11 +123,12 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	}
 
 	// Correlation score (Definition 8): frequency of the pattern's SAX
-	// word among all same-length windows of the series. The window is
-	// centered on the candidate with a half-width tied to the pattern
-	// size (clamped to [3, 12]): centering guarantees the word captures
-	// the local shape transition — spike, group boundary or level shift
-	// — rather than only the flat interior of a large one-sided hull.
+	// word among all same-length windows of the channel that flagged the
+	// candidate. The window is centered on the candidate with a
+	// half-width tied to the pattern size (clamped to [3, 12]):
+	// centering guarantees the word captures the local shape transition
+	// — spike, group boundary or level shift — rather than only the flat
+	// interior of a large one-sided hull.
 	hw := ss
 	if hw < 3 {
 		hw = 3
@@ -135,16 +144,29 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 		whi = n
 	}
 	if wlen := whi - wlo; wlen >= 2 && wlen <= n/2 {
-		c.Correlation = sc.corpora.Frequency(wlo, whi)
+		c.Correlation = sc.corpora[c.Channel].Frequency(wlo, whi)
 	} else {
 		// Degenerate or series-scale windows occur everywhere.
 		c.Correlation = 1
 	}
 
-	// Variance score (Definition 9, oriented as in hypothesis 3 and
-	// Fig. 3): the relative drop of the SPa standard deviation when the
-	// pattern is removed. SPa is the pattern extended by max(SS, 3)
-	// adjacent points on each side.
+	c.Variance = sc.variance(lo, hi, ss)
+	if len(sc.chans) >= 2 {
+		c.XCorr = sc.xcorr(c.Index, ss)
+	}
+}
+
+// variance is the variance score (Definition 9, oriented as in
+// hypothesis 3 and Fig. 3): the relative drop of the SPa standard
+// deviation when the pattern [lo, hi] is removed. SPa is the pattern
+// extended by max(ss, 3) adjacent points on each side. Over d channels σ
+// is the square root of the mean per-channel variance; on one channel
+// that is bit-identical to the plain standard deviation, because 0+x and
+// x/1 are exact.
+//
+//cabd:hotpath
+func (sc *scorer) variance(lo, hi, ss int) float64 {
+	n := len(sc.chans[0])
 	pad := ss
 	if pad < 3 {
 		pad = 3
@@ -156,21 +178,74 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	if shi > n {
 		shi = n
 	}
-	spa := sc.values[slo:shi]
-	left, right := sc.values[slo:lo], sc.values[hi+1:shi]
-	sdAll := stats.Std(spa)
-	if sdAll == 0 || len(left)+len(right) < 2 {
-		c.Variance = 0
-		return
+	d := float64(len(sc.chans))
+	var vAll float64
+	for _, ch := range sc.chans {
+		vAll += stats.Variance(ch[slo:shi])
 	}
-	vs := 1 - stats.Std2(left, right)/sdAll
+	sdAll := math.Sqrt(vAll / d)
+	if sdAll == 0 || (lo-slo)+(shi-hi-1) < 2 {
+		return 0
+	}
+	var vRest float64
+	for _, ch := range sc.chans {
+		vRest += stats.Variance2(ch[slo:lo], ch[hi+1:shi])
+	}
+	vs := 1 - math.Sqrt(vRest/d)/sdAll
 	if vs < 0 {
 		vs = 0
 	}
 	if vs > 1 {
 		vs = 1
 	}
-	c.Variance = vs
+	return vs
+}
+
+// xcorr is the cross-channel decorrelation score at index over a window
+// sized by the neighborhood (clamped to [8, 32] half-width): one minus
+// the mean pairwise channel correlation, halved into [0, 1]. A fault in
+// one channel of a correlated group breaks the local co-movement.
+//
+//cabd:hotpath
+func (sc *scorer) xcorr(index, ss int) float64 {
+	n := len(sc.chans[0])
+	hw := ss
+	if hw < 8 {
+		hw = 8
+	}
+	if hw > 32 {
+		hw = 32
+	}
+	lo, hi := index-hw, index+hw+1
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > n {
+		hi = n
+	}
+	if hi-lo < 4 {
+		return 0
+	}
+	var sum float64
+	var pairs int
+	for a := 0; a < len(sc.chans); a++ {
+		for b := a + 1; b < len(sc.chans); b++ {
+			r := stats.Correlation(sc.chans[a][lo:hi], sc.chans[b][lo:hi])
+			if math.IsNaN(r) {
+				r = 0 // a constant window has no co-movement signal
+			}
+			sum += r
+			pairs++
+		}
+	}
+	x := (1 - sum/float64(pairs)) / 2
+	if x < 0 {
+		x = 0
+	}
+	if x > 1 {
+		x = 1
+	}
+	return x
 }
 
 // scoreAll computes the metric for every candidate in parallel (the
@@ -188,7 +263,7 @@ func (sc *scorer) scoreAll(ctx context.Context, cands []Candidate) (degraded boo
 	if len(cands) == 0 {
 		return false, nil
 	}
-	sc.feats = getFeatMatrix(len(cands), featWidth(&sc.opts))
+	sc.feats = getFeatMatrix(len(cands), featWidth(len(sc.chans)))
 	workers := runtime.GOMAXPROCS(0)
 	if sc.opts.SeqOracle {
 		workers = 1

@@ -34,7 +34,7 @@ func clockScorer(t *testing.T, clk obs.Clock) (*scorer, []Candidate) {
 	for i, ci := range idx {
 		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
 	}
-	return newScorer(std, inn.FromSeries(zs), opts), cands
+	return newScorer([][]float64{std}, inn.FromSeries(zs), opts), cands
 }
 
 // TestDeadlinePilotDegradesOnFakeClock pins the degradation trigger with
@@ -106,7 +106,7 @@ func TestDeadlinePilotRescoreFakeClock(t *testing.T) {
 			t.Errorf("candidate %d (index %d): INN = %v, want FixedKNN %v",
 				pos, cands[pos].Index, cands[pos].INN, want)
 		}
-		row := cands[pos].features(sc.opts)
+		row := cands[pos].features(sc.opts, baseFeatures)
 		for f := 0; f < baseFeatures; f++ {
 			//cabd:lint-ignore floateq the SoA matrix contract is bit-identity with the row-major oracle
 			if sc.feats.cols[f][pos] != row[f] {

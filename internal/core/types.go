@@ -76,9 +76,13 @@ type Candidate struct {
 	// extension: (1 - mean pairwise channel correlation over the local
 	// window)/2, in [0,1]. A fault in one channel of a correlated group
 	// breaks the local co-movement, so high XCorr is anomaly evidence.
-	// Zero (and excluded from the feature vector) unless
-	// Options.XChannelCorr is set.
+	// Zero (and excluded from the feature vector) on a single channel.
 	XCorr float64
+
+	// Channel is the channel whose second difference flagged the
+	// candidate; the correlation score reads that channel's SAX words.
+	// Always 0 for a univariate series.
+	Channel int
 
 	// SecondDiffZ is the robust z-score of the candidate's absolute
 	// second difference — how strongly the candidate-estimation step
@@ -91,11 +95,11 @@ type Candidate struct {
 	Queried    bool    // answered by the oracle during active learning
 }
 
-// Features returns the classifier feature vector under the ablation
-// switches of opts. The asymmetry feature always rides along; the Fig. 13
-// ablation toggles only the paper's three scores.
-func (c *Candidate) features(o Options) []float64 {
-	f := make([]float64, featWidth(&o))
+// features returns the width-wide classifier feature vector under the
+// ablation switches of opts. The asymmetry feature always rides along;
+// the Fig. 13 ablation toggles only the paper's three scores.
+func (c *Candidate) features(o Options, width int) []float64 {
+	f := make([]float64, width)
 	if !o.DisableMagnitude {
 		f[0] = c.Magnitude
 	}
@@ -106,7 +110,7 @@ func (c *Candidate) features(o Options) []float64 {
 		f[2] = c.Variance
 	}
 	f[3] = c.Asymmetry
-	if o.XChannelCorr {
+	if width > baseFeatures {
 		f[4] = c.XCorr
 	}
 	return f

@@ -58,16 +58,12 @@ const DefaultRangeFrac = 0.05
 // rank-query engine; see Computer.WithLegacyProbes.
 const LegacyEngineEnv = "CABD_INN_ENGINE"
 
-// Index answers the two primitive queries every INN strategy reduces to,
+// index answers the two primitive queries every INN strategy reduces to,
 // over the point set identified by indices 0..Len()-1 and the documented
-// (distance, index) neighbor order.
-//
-// The static implementation wraps a KD-tree over a fixed point slice.
-// Any other implementation must answer identically for the same logical
-// point set — rank counting and k-NN sets are functions of the points and
-// the metric, not of the index structure — so a different tree can be
-// swapped in and tested against the static one.
-type Index interface {
+// (distance, index) neighbor order. Rank counting and k-NN sets are
+// functions of the points and the metric, not of the tree, so the 2-D
+// and N-D indexes below answer identically for the same logical points.
+type index interface {
 	// Len returns the number of indexed points.
 	Len() int
 	// RankAtMost returns min(rank, limit), where rank is the number of
@@ -80,8 +76,8 @@ type Index interface {
 	KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 }
 
-// staticIndex is the batch-path Index: a KD-tree built once over the full
-// embedding.
+// staticIndex is the univariate index: a 2-D KD-tree over the
+// (standardized index, standardized value) embedding.
 type staticIndex struct {
 	pts  [][2]float64
 	tree *kdtree.KD
@@ -97,9 +93,27 @@ func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 	return s.tree.KNNInto(s.pts[i], k, i, buf)
 }
 
-// Computer computes neighborhoods over an indexed set of 2-D points
-// (typically series.Points() of a standardized series). It is safe for
-// concurrent use after construction.
+// ndIndex is the multivariate index: an N-D KD-tree over (standardized
+// index, standardized value_1, ..., standardized value_d) rows.
+type ndIndex struct {
+	pts  [][]float64
+	tree *kdtree.ND
+}
+
+func (s *ndIndex) Len() int { return len(s.pts) }
+
+func (s *ndIndex) RankAtMost(i, j, limit int) int {
+	return s.tree.RankAtMost(s.pts[i], kdtree.DistN(s.pts[i], s.pts[j]), j, i, limit)
+}
+
+func (s *ndIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+	return s.tree.KNNInto(s.pts[i], k, i, buf)
+}
+
+// Computer computes neighborhoods over an indexed point set: the 2-D
+// embedding of a univariate series (NewComputer) or the joint embedding
+// of a multivariate one (NewNComputer). It is safe for concurrent use
+// after construction.
 //
 // Membership probes ("is x_j among the k nearest neighbors of x_i?") are
 // answered by a rank query: one allocation-free index walk counting the
@@ -107,23 +121,28 @@ func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 // so InTopK(i, j, k) is rank(i, j) < k with cost O(log n + |ball|)
 // instead of a full allocating k-NN query per probe.
 type Computer struct {
-	idx    Index
+	idx    index
 	n      int       // cached idx.Len()
 	legacy bool      // answer probes via full k-NN lists (test oracle)
 	memo   *rankMemo // (i,j) -> rank cache; measurement only, see WithRankMemo
 }
 
-// NewComputer indexes pts (built once, queried many times). The probe
-// engine defaults to rank queries; setting CABD_INN_ENGINE=legacy in the
-// environment selects the naive k-NN-membership oracle instead.
+// NewComputer indexes 2-D points (built once, queried many times). The
+// probe engine defaults to rank queries; setting CABD_INN_ENGINE=legacy
+// in the environment selects the naive k-NN-membership oracle instead.
 func NewComputer(pts [][2]float64) *Computer {
-	return NewComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
+	return newComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
 }
 
-// NewComputerOver wraps a caller-supplied Index, running the unmodified
-// Algorithm 5 neighborhood logic over another neighbor structure. The
-// same CABD_INN_ENGINE=legacy escape hatch applies.
-func NewComputerOver(idx Index) *Computer {
+// NewNComputer indexes d-dimensional points (rows of equal length) for
+// the multivariate extension. The neighborhood semantics — per-offset
+// mutual rank bound, 5% search-range prune, contiguous runs — and the
+// probe engine are those of the 2-D case.
+func NewNComputer(pts [][]float64) *Computer {
+	return newComputerOver(&ndIndex{pts: pts, tree: kdtree.NewND(pts)})
+}
+
+func newComputerOver(idx index) *Computer {
 	return &Computer{
 		idx:    idx,
 		n:      idx.Len(),
@@ -280,12 +299,6 @@ func (c *Computer) legacyInTopK(i, j, k int) bool {
 	return false
 }
 
-// Mutual reports whether points i and j are mutually within each other's
-// top-t neighbors (Equation 3 at radius t).
-func (c *Computer) Mutual(i, j, t int) bool {
-	return c.InTopK(i, j, t) && c.InTopK(j, i, t)
-}
-
 // MutualSet returns every j with mutual top-t membership with i — the
 // unconstrained (non-contiguous) INN of Algorithm 1. Sorted ascending,
 // excluding i. Cost: one k-NN query of size t plus up to t reverse probes.
@@ -341,16 +354,6 @@ func (c *Computer) Binary(i, t int) []int {
 	left := c.binarySide(i, -1, t)
 	right := c.binarySide(i, +1, t)
 	return collect(i, left, right)
-}
-
-// BinaryPruned is Binary with the paper's default 5% search-range prune.
-func (c *Computer) BinaryPruned(i int) []int {
-	return c.Binary(i, c.RangeLimit(0))
-}
-
-// MinimalPruned is Minimal with the paper's default 5% search-range prune.
-func (c *Computer) MinimalPruned(i int) []int {
-	return c.Minimal(i, c.RangeLimit(0))
 }
 
 // offsetBound is Algorithm 5's per-offset rank bound: min(3o+9, t). The

@@ -106,8 +106,8 @@ func TestWorstCaseFlatLine(t *testing.T) {
 	if len(unpruned) < 20 {
 		t.Errorf("unpruned flat-line INN size = %d, want large", len(unpruned))
 	}
-	pruned := c.MinimalPruned(25)
 	limit := c.RangeLimit(0)
+	pruned := c.Minimal(25, limit)
 	if len(pruned) > 2*limit {
 		t.Errorf("pruned INN size = %d exceeds 2*limit %d", len(pruned), limit)
 	}
@@ -149,20 +149,6 @@ func TestInTopK(t *testing.T) {
 	}
 	if c.InTopK(0, 3, 2) {
 		t.Error("farthest point should not be in top-2")
-	}
-}
-
-func TestMutualSymmetry(t *testing.T) {
-	c := NewComputer(example2Points())
-	for i := 0; i < c.Len(); i++ {
-		for j := 0; j < c.Len(); j++ {
-			if i == j {
-				continue
-			}
-			if c.Mutual(i, j, 6) != c.Mutual(j, i, 6) {
-				t.Fatalf("Mutual not symmetric for (%d,%d)", i, j)
-			}
-		}
 	}
 }
 

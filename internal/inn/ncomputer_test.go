@@ -8,9 +8,9 @@ import (
 	"cabd/internal/series"
 )
 
-// nFromSeries builds equivalent 1-D-value NComputer and Computer over the
-// same series for differential testing.
-func nFromSeries(s *series.Series) (*NComputer, *Computer) {
+// nFromSeries builds equivalent Computers over the same series, one on
+// the N-D index and one on the 2-D index, for differential testing.
+func nFromSeries(s *series.Series) (*Computer, *Computer) {
 	pts2 := s.Points()
 	ptsN := make([][]float64, len(pts2))
 	for i, p := range pts2 {

@@ -1,9 +1,11 @@
-// Package kdtree implements a static 2-D KD-tree with k-nearest-neighbor,
-// range-count and rank queries. The paper's runtime evaluation (Section
+// Package kdtree implements static KD-trees with k-nearest-neighbor and
+// rank queries: a flat 2-D tree for univariate series and an N-D tree for
+// the multivariate extension. The paper's runtime evaluation (Section
 // V-D) uses a KD-tree to accelerate neighbor search for the INN
-// computation; this package is that substrate. Points are [2]float64
-// (standardized index, standardized value) and carry their original series
-// index as payload.
+// computation; this package is that substrate. 2-D points are
+// (standardized index, standardized value), N-D points append one
+// standardized value per channel, and every point carries its original
+// series index as payload.
 //
 // All queries order neighbors by (distance, original index): among
 // equidistant points the smaller index ranks first. That tie-break is not
@@ -11,11 +13,10 @@
 // probes need one deterministic answer to the question "is j among the k
 // nearest neighbors of i".
 //
-// Traversals are iterative (an explicit stack of pending index spans,
-// bounded by the balanced tree's height) and allocation-free when the
-// caller supplies buffers: KNNInto / WithinInto reuse caller storage, and
-// Rank / CountWithin count in a bare tree walk with no candidate list at
-// all.
+// Traversals are iterative (an explicit stack bounded by the balanced
+// tree's height) and allocation-free when the caller supplies buffers:
+// KNNInto reuses caller storage, and Rank / RankAtMost count in a bare
+// tree walk with no candidate list at all.
 package kdtree
 
 import "math"
@@ -347,65 +348,6 @@ func children(lo, mid, hi int, diff float64) (nearLo, nearHi, farLo, farHi int) 
 		return mid + 1, hi, lo, mid
 	}
 	return lo, mid, mid + 1, hi
-}
-
-// CountWithin returns the number of points with distance <= r from q
-// (excluding skipSelf) in one allocation-free walk.
-func (t *KD) CountWithin(q [2]float64, r float64, skipSelf int) int {
-	count := 0
-	t.within(q, r, skipSelf, func(Neighbor) { count++ })
-	return count
-}
-
-// Within returns all points with distance <= r from q (excluding
-// skipSelf), unsorted.
-func (t *KD) Within(q [2]float64, r float64, skipSelf int) []Neighbor {
-	return t.WithinInto(q, r, skipSelf, nil)
-}
-
-// WithinInto is Within with a caller-supplied result buffer; the returned
-// slice aliases buf when its capacity suffices.
-func (t *KD) WithinInto(q [2]float64, r float64, skipSelf int, buf []Neighbor) []Neighbor {
-	out := buf[:0]
-	t.within(q, r, skipSelf, func(nb Neighbor) { out = append(out, nb) })
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// within calls visit, in walk order, for every point other than skipSelf
-// with distance <= r from q.
-func (t *KD) within(q [2]float64, r float64, skipSelf int, visit func(Neighbor)) {
-	items := t.items
-	var stack [maxSpans]span
-	top := 0
-	lo, hi, depth := 0, len(items), 0
-	for {
-		if lo >= hi {
-			if top == 0 {
-				return
-			}
-			top--
-			lo, hi, depth = stack[top].unpack()
-		}
-		mid := int(uint(lo+hi) >> 1)
-		it := &items[mid]
-		if it.i != skipSelf {
-			if d := dist(q, it.p); d <= r {
-				visit(Neighbor{Index: it.i, Dist: d})
-			}
-		}
-		axis := depth & 1
-		diff := q[axis] - it.p[axis]
-		depth++
-		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
-		if flo < fhi && math.Abs(diff) <= r {
-			stack[top] = newSpan(flo, fhi, depth)
-			top++
-		}
-		lo, hi = nlo, nhi
-	}
 }
 
 // Dist returns the Euclidean distance between two embedded points — the

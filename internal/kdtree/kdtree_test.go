@@ -102,8 +102,8 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.KNN([2]float64{0, 0}, 3, -1); got != nil {
 		t.Errorf("empty tree KNN = %v", got)
 	}
-	if got := tr.Within([2]float64{0, 0}, 5, -1); got != nil {
-		t.Errorf("empty tree Within = %v", got)
+	if got := tr.Rank([2]float64{0, 0}, 5, 0, -1); got != 0 {
+		t.Errorf("empty tree Rank = %d", got)
 	}
 }
 
@@ -255,65 +255,7 @@ func TestRankMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCountWithinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(150)
-		var pts [][2]float64
-		if trial%2 == 0 {
-			pts = randomPoints(rng, n)
-		} else {
-			pts = gridPoints(rng, n)
-		}
-		tr := New(pts)
-		q := pts[rng.Intn(n)]
-		r := rng.Float64() * 6
-		skip := -1
-		if rng.Intn(2) == 0 {
-			skip = rng.Intn(n)
-		}
-		want := 0
-		for i, p := range pts {
-			if i != skip && dist(q, p) <= r {
-				want++
-			}
-		}
-		if got := tr.CountWithin(q, r, skip); got != want {
-			t.Fatalf("trial %d: CountWithin = %d, want %d", trial, got, want)
-		}
-		if got := len(tr.Within(q, r, skip)); got != want {
-			t.Fatalf("trial %d: Within len = %d, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestWithinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(150)
-		pts := randomPoints(rng, n)
-		tr := New(pts)
-		q := [2]float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10}
-		r := rng.Float64() * 15
-		got := tr.Within(q, r, -1)
-		want := 0
-		for _, p := range pts {
-			if dist(q, p) <= r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: Within found %d, brute %d", trial, len(got), want)
-		}
-		for _, nb := range got {
-			if nb.Dist > r {
-				t.Fatalf("Within returned point beyond radius: %v > %v", nb.Dist, r)
-			}
-		}
-	}
-}
-
-// TestTinyAndDuplicateMatchBruteForce runs the KNN, Rank and Within
+// TestTinyAndDuplicateMatchBruteForce runs the KNN and Rank
 // differentials over every query, k, limit and radius on the degenerate
 // trees: zero to three points, and point sets that are one point
 // repeated (the embedding of a flat series).
@@ -356,19 +298,6 @@ func TestTinyAndDuplicateMatchBruteForce(t *testing.T) {
 					}
 					if !equalNeighbors(got, want) {
 						t.Fatalf("set %d q=%v k=%d skip=%d: KNN %v, want %v", si, q, k, skip, got, want)
-					}
-				}
-				for _, r := range []float64{0, 0.5, 2, math.Inf(1)} {
-					var want []Neighbor
-					for i, p := range pts {
-						if i != skip && dist(q, p) <= r {
-							want = append(want, Neighbor{Index: i, Dist: dist(q, p)})
-						}
-					}
-					got := tr.Within(q, r, skip)
-					sort.Slice(got, func(a, b int) bool { return got[a].Index < got[b].Index })
-					if !equalNeighbors(got, want) || tr.CountWithin(q, r, skip) != len(want) {
-						t.Fatalf("set %d q=%v r=%v skip=%d: Within %v, want %v", si, q, r, skip, got, want)
 					}
 				}
 			}

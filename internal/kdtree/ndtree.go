@@ -9,7 +9,6 @@ import "math"
 // (distance, index) tie-break, iterative traversal and buffer reuse.
 type ND struct {
 	root *ndNode
-	dim  int
 	n    int
 }
 
@@ -31,8 +30,7 @@ func NewND(pts [][]float64) *ND {
 	for i, p := range pts {
 		items[i] = ndItem{p: p, i: i}
 	}
-	d := len(pts[0])
-	return &ND{root: buildND(items, 0, d), dim: d, n: len(pts)}
+	return &ND{root: buildND(items, 0, len(pts[0])), n: len(pts)}
 }
 
 type ndItem struct {
@@ -99,9 +97,6 @@ func medianSelectND(items []ndItem, k, axis int) {
 
 // Len returns the number of indexed points.
 func (t *ND) Len() int { return t.n }
-
-// Dim returns the point dimensionality (0 for an empty tree).
-func (t *ND) Dim() int { return t.dim }
 
 type ndFrame struct {
 	n         *ndNode
@@ -205,35 +200,6 @@ func (t *ND) RankAtMost(q []float64, d float64, tieIndex, skipSelf, limit int) i
 			near, far = cur.right, cur.left
 		}
 		if far != nil && math.Abs(diff) <= d {
-			stack[top] = far
-			top++
-		}
-		cur = near
-	}
-	return count
-}
-
-// CountWithin returns the number of points with distance <= r from q
-// (excluding skipSelf) in one allocation-free walk.
-func (t *ND) CountWithin(q []float64, r float64, skipSelf int) int {
-	count := 0
-	var stack [maxStack]*ndNode
-	top := 0
-	cur := t.root
-	for cur != nil || top > 0 {
-		if cur == nil {
-			top--
-			cur = stack[top]
-		}
-		if cur.index != skipSelf && distN(q, cur.point) <= r {
-			count++
-		}
-		diff := q[cur.axis] - cur.point[cur.axis]
-		near, far := cur.left, cur.right
-		if diff > 0 {
-			near, far = cur.right, cur.left
-		}
-		if far != nil && math.Abs(diff) <= r {
 			stack[top] = far
 			top++
 		}

@@ -65,7 +65,7 @@ func TestNDMatchesBruteForce(t *testing.T) {
 }
 
 // TestNDTiesAndRank exercises duplicate-heavy grids: exact index order
-// under ties, and Rank/CountWithin agreement with brute force.
+// under ties, and Rank agreement with brute force.
 func TestNDTiesAndRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
@@ -107,16 +107,6 @@ func TestNDTiesAndRank(t *testing.T) {
 		if gotRank := tree.Rank(pts[i], dj, j, i); gotRank != wantRank {
 			t.Fatalf("trial %d: ND Rank = %d, want %d", trial, gotRank, wantRank)
 		}
-		r := rng.Float64() * 3
-		wantCount := 0
-		for m, p := range pts {
-			if m != i && distN(pts[i], p) <= r {
-				wantCount++
-			}
-		}
-		if gotCount := tree.CountWithin(pts[i], r, i); gotCount != wantCount {
-			t.Fatalf("trial %d: ND CountWithin = %d, want %d", trial, gotCount, wantCount)
-		}
 	}
 }
 
@@ -126,8 +116,8 @@ func TestNDEmptyAndDegenerate(t *testing.T) {
 		t.Error("empty ND tree misbehaves")
 	}
 	one := NewND([][]float64{{1, 2, 3}})
-	if one.Dim() != 3 {
-		t.Errorf("Dim = %d", one.Dim())
+	if one.Len() != 1 {
+		t.Errorf("Len = %d", one.Len())
 	}
 	if got := one.KNN([]float64{0, 0, 0}, 5, -1); len(got) != 1 || got[0].Index != 0 {
 		t.Errorf("singleton KNN = %v", got)

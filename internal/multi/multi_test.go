@@ -3,11 +3,14 @@ package multi
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cabd/internal/core"
 	"cabd/internal/eval"
+	"cabd/internal/inn"
 	"cabd/internal/series"
+	"cabd/internal/stats"
 )
 
 // gen builds a d-dimensional seasonal series with correlated dimensions,
@@ -148,5 +151,120 @@ func TestDegenerate(t *testing.T) {
 	flat := make([]float64, 100)
 	if res := d.Detect(NewSeries("f", [][]float64{flat, flat})); len(res.Anomalies) != 0 {
 		t.Error("flat series produced detections")
+	}
+}
+
+// TestMutualSetHonoured: the MutualSet strategy runs the unconstrained
+// mutual neighborhood over the joint embedding and reports itself.
+func TestMutualSetHonoured(t *testing.T) {
+	s := gen(81, 800, 3)
+	res := NewDetector(core.Options{Strategy: core.MutualSetINN}).Detect(s)
+	if res.Strategy != core.MutualSetINN {
+		t.Fatalf("Strategy = %v, want %v", res.Strategy, core.MutualSetINN)
+	}
+	if len(res.Candidates) == 0 {
+		t.Fatal("no candidates; nothing to compare")
+	}
+	std := make([][]float64, s.D())
+	for k, dim := range s.Dims {
+		std[k] = stats.Standardize(dim)
+	}
+	comp := inn.NewNComputer(embed(std))
+	tlim := comp.RangeLimit(0)
+	for _, c := range res.Candidates {
+		if want := comp.MutualSet(c.Index, tlim); !reflect.DeepEqual(c.INN, want) {
+			t.Fatalf("candidate %d: INN %v, want MutualSet %v", c.Index, c.INN, want)
+		}
+	}
+}
+
+// TestTinyPatternVarianceMatchesCore: on a 9-point series the FixedKNN
+// neighborhood covers all 8 other points, so no flank is left to measure
+// the variance drop against. Both detectors score 0 there.
+func TestTinyPatternVarianceMatchesCore(t *testing.T) {
+	vals := []float64{0.1, -0.2, 0.15, 0, 9, 0.05, -0.1, 0.2, -0.05}
+	opts := core.Options{Strategy: core.FixedKNN}
+	ures := core.NewDetector(opts).Detect(series.New("tiny", vals))
+	for _, d := range []int{1, 2} {
+		dims := make([][]float64, d)
+		for k := range dims {
+			dims[k] = vals
+		}
+		res := NewDetector(opts).Detect(NewSeries("tiny", dims))
+		if len(res.Candidates) == 0 || len(res.Candidates) != len(ures.Candidates) {
+			t.Fatalf("d=%d: %d candidates, univariate %d", d, len(res.Candidates), len(ures.Candidates))
+		}
+		for i, c := range res.Candidates {
+			if len(c.INN) != len(vals)-1 {
+				t.Fatalf("d=%d candidate %d: INN %v, want the other %d points", d, c.Index, c.INN, len(vals)-1)
+			}
+			if c.Variance != 0 || ures.Candidates[i].Variance != 0 {
+				t.Errorf("d=%d candidate %d: Variance %v (univariate %v), want 0 for both",
+					d, c.Index, c.Variance, ures.Candidates[i].Variance)
+			}
+		}
+	}
+}
+
+// TestTopByZMatchesReference checks the MAD-collapse guard against a
+// brute-force reference: a candidate is kept iff fewer than k others beat
+// it on (z descending, index ascending). Inputs mix exact ties and +Inf.
+func TestTopByZMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	levels := []float64{3.5, 4, 4, 7.25, math.Inf(1)}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		cands := make([]core.Candidate, n)
+		idx := 0
+		for i := range cands {
+			idx += 1 + rng.Intn(3)
+			z := levels[rng.Intn(len(levels))]
+			if rng.Intn(3) == 0 {
+				z = 3 + rng.Float64()*10
+			}
+			cands[i] = core.Candidate{Index: idx, SecondDiffZ: z}
+		}
+		k := rng.Intn(n+2) - 1
+		in := make([]core.Candidate, n)
+		copy(in, cands)
+		got := topByZ(cands, k)
+		if !reflect.DeepEqual(cands, in) {
+			t.Fatalf("trial %d: topByZ modified its input", trial)
+		}
+		keep := k
+		if keep < 1 {
+			keep = 1
+		}
+		var want []core.Candidate
+		for _, c := range cands {
+			beaten := 0
+			for _, o := range cands {
+				if o.SecondDiffZ > c.SecondDiffZ || (o.SecondDiffZ == c.SecondDiffZ && o.Index < c.Index) {
+					beaten++
+				}
+			}
+			if beaten < keep {
+				want = append(want, c)
+			}
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d (n=%d k=%d):\n got %v\nwant %v", trial, n, k, got, want)
+		}
+	}
+}
+
+// TestDetectAllocBudget is the allocation contract of a multivariate
+// Detect at d = 3, n = 1,200. Scoring runs through core's pooled,
+// allocation-free scorer; most of what remains is the N-D tree's
+// per-point nodes and the embedding's per-point rows. AllocsPerRun
+// measures at GOMAXPROCS 1.
+func TestDetectAllocBudget(t *testing.T) {
+	s := gen(1, 1200, 3)
+	det := NewDetector(core.Options{})
+	if res := det.Detect(s); len(res.Anomalies) == 0 {
+		t.Fatal("no anomalies detected; the budget would measure an empty run")
+	}
+	if allocs := testing.AllocsPerRun(3, func() { det.Detect(s) }); allocs > 3500 {
+		t.Errorf("Detect made %v allocations, budget 3500", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cabd/internal/core"
+	"cabd/internal/obs"
 	"cabd/internal/series"
 )
 
@@ -121,6 +122,29 @@ func TestDegradedPath(t *testing.T) {
 	res2 := NewDetector(core.Options{DegradeCandidates: 2, Strategy: core.FixedKNN}).Detect(s)
 	if res2.Degraded {
 		t.Error("FixedKNN configuration reported degradation")
+	}
+}
+
+// TestDeadlineDegrades: the scorer's deadline pilot runs for multi as it
+// does for univariate series. The recorder's fake clock reads past the
+// context's deadline while the real deadline is an hour away, so the
+// projection always exceeds the remaining budget and ctx never fires.
+func TestDeadlineDegrades(t *testing.T) {
+	s := gen(42, 1200, 2)
+	deadline := time.Now().Add(time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	clk := obs.NewFakeClock(deadline.Add(time.Minute))
+	clk.SetStep(time.Millisecond)
+	res, err := NewDetector(core.Options{Obs: obs.NewWithClock(clk)}).DetectCtx(ctx, s)
+	if err != nil {
+		t.Fatalf("DetectCtx: %v", err)
+	}
+	if !res.Degraded || res.Strategy != core.FixedKNN {
+		t.Fatalf("Degraded=%v Strategy=%v, want a FixedKNN degradation", res.Degraded, res.Strategy)
+	}
+	if res.DegradeReason != "context deadline headroom too small for INN scoring" {
+		t.Errorf("DegradeReason = %q", res.DegradeReason)
 	}
 }
 

@@ -155,7 +155,17 @@ func (t *sessionTable) restore(dir string) error {
 		if cp.ID == "" {
 			return fmt.Errorf("restore %s: checkpoint has no session id", p)
 		}
-		if n, perr := strconv.ParseInt(strings.TrimPrefix(cp.ID, "s"), 10, 64); perr == nil && n > maxID {
+		// Later checkpoint writes and deletes build their path from the
+		// id, so it must be one this server could have minted, and the
+		// one its own file is named after.
+		n, ok := parseSessionID(cp.ID)
+		if !ok {
+			return fmt.Errorf("restore %s: invalid session id %q", p, cp.ID)
+		}
+		if filepath.Base(p) != "session-"+cp.ID+".json" {
+			return fmt.Errorf("restore %s: session id %q does not match the file name", p, cp.ID)
+		}
+		if n > maxID {
 			maxID = n
 		}
 		if err := t.restoreOne(&cp); err != nil {
@@ -166,6 +176,14 @@ func (t *sessionTable) restore(dir string) error {
 		t.next.Store(maxID)
 	}
 	return nil
+}
+
+// parseSessionID returns the counter value of a session id, and whether
+// the id is exactly the one sessionTable.create mints for that value:
+// "s" followed by a positive decimal.
+func parseSessionID(id string) (int64, bool) {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "s"), 10, 64)
+	return n, err == nil && n > 0 && id == "s"+strconv.FormatInt(n, 10)
 }
 
 // restoreOne rebuilds a single session from its checkpoint.

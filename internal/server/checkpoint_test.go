@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,5 +320,57 @@ func TestSessionEvictionDropsCheckpoint(t *testing.T) {
 	}
 	if len(evictions) == 0 {
 		t.Fatal("eviction produced no log line")
+	}
+}
+
+// TestRestoreRejectsForeignSessionIDs: a checkpoint's id names every
+// later write and delete of its file, so restore accepts only ids this
+// server mints ("s" and a positive decimal) that match their own file
+// name. The first case is the reproduction: a terminal checkpoint whose
+// id walks out of the directory used to make the idle janitor delete
+// victim.json in the directory's parent.
+func TestRestoreRejectsForeignSessionIDs(t *testing.T) {
+	for _, tc := range []struct{ file, id string }{
+		{"session-s1.json", "/../../victim"},
+		{"session-s1.json", "s2"},
+		{"session-s0.json", "s0"},
+		{"session-s01.json", "s01"},
+		{"session-x1.json", "x1"},
+		{"session-s.json", "s"},
+		{"session-s-1.json", "s-1"},
+		{"session-s99999999999999999999.json", "s99999999999999999999"},
+	} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		victim := filepath.Join(root, "victim.json")
+		if err := os.WriteFile(victim, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tc.file)
+		cp := fmt.Sprintf(`{"id":%q,"series":[1,2,3,4],"queries":0,"state":%q}`, tc.id, httpapi.StateDone)
+		if err := os.WriteFile(path, []byte(cp), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clk := obs.NewFakeClock(time.Time{})
+		srv, err := server.New(server.Config{
+			CheckpointDir: dir,
+			Recorder:      obs.NewWithClock(clk),
+			SessionTTL:    time.Minute,
+			JanitorEvery:  -1,
+		})
+		if err == nil {
+			clk.Advance(2 * time.Minute)
+			srv.Sweep()
+			srv.Close()
+			t.Errorf("id %q in %s: restore accepted it", tc.id, tc.file)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("id %q: error %q does not name the file %s", tc.id, err, path)
+		}
+		if _, err := os.Stat(victim); err != nil {
+			t.Errorf("id %q: file outside the checkpoint dir is gone: %v", tc.id, err)
+		}
 	}
 }
