@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-bench test race check cover fuzz bench bench-guard serve-smoke agent-smoke stream-smoke scenario-smoke
+.PHONY: all build vet lint lint-bench test race check cover fuzz bench serve-smoke agent-smoke stream-smoke scenario-smoke
 
 all: check
 
@@ -58,11 +58,11 @@ stream-smoke:
 # Smoke-scale run of the fault-taxonomy benchmark: every fault kind at
 # both channel counts on a short flat carrier. Proves the scenario
 # subsystem, the joint multivariate detector and every baseline still
-# drive end to end, and that the multivariate pass stays bit-identical
-# to the sequential row-major oracle (the experiment exits non-zero on
-# divergence). -scenjson '' leaves any full-grid BENCH_scenarios.json
-# from an earlier local run intact (BENCH_*.json files are gitignored,
-# not checked in).
+# drive end to end. (That the multivariate pass is bit-identical to the
+# sequential row-major oracle on every smoke cell is proved by
+# internal/core's oracle_test.go.) -scenjson '' leaves any full-grid
+# BENCH_scenarios.json from an earlier local run intact (BENCH_*.json
+# files are gitignored, not checked in).
 scenario-smoke:
 	$(GO) run ./cmd/cabd-bench -exp scenarios -smoke -scenjson ''
 
@@ -79,7 +79,8 @@ check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 #     untested branch there is an unverified promise.
 #   internal/multi (85): the multivariate detector's candidate union,
 #     top-z guard and collective merge promise golden and oracle
-#     equality, so untested branches there are unverified promises too.
+#     equality (the oracle tests live in internal/core), so untested
+#     branches there are unverified promises too.
 COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/multi:85
 cover:
 	@for pf in $(COVER_FLOORS); do \
@@ -94,24 +95,18 @@ cover:
 			printf "%s coverage %s%% (floor %s%%)\n", name, $$3, floor }' || exit 1; \
 	done
 
-# Short native fuzzing campaigns against the sanitizing entry points.
+# A short native fuzzing campaign for every Fuzz target in the module:
+# the targets are discovered with `go test -list`, so a new one cannot be
+# missed. Each target gets 30 s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzStreamPush -fuzztime 30s .
-
-# Raw-speed regression gate: run the scale sweep (optimized pass vs the
-# sequential row-major oracle), then hold its speedup rows to the
-# checked-in per-core tolerances. Exits non-zero on any detection
-# divergence or a >20% speedup regression.
-bench-guard:
-	$(GO) run ./cmd/cabd-bench -exp scale -json BENCH_runtime.json
-	$(GO) run ./cmd/cabd-benchguard -json BENCH_runtime.json -tol scripts/bench_tolerances.json
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "$(GO) test -run '^$$' -fuzz '^$$target\$$' -fuzztime 30s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 30s $$pkg || exit 1; \
+	done
 
 # -run '^$$' keeps the unit-test suite out of benchmark runs (without it
 # every `make bench` pays the full test suite first).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
-
-# Quick old-vs-new smoke of the INN probe engine (legacy vs rank).
-bench-inn:
-	$(GO) test -run '^$$' -bench 'BenchmarkINN' -benchmem .

@@ -7,13 +7,10 @@
 package cabd
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"cabd/internal/experiments"
-	"cabd/internal/inn"
-	"cabd/internal/series"
 )
 
 // benchScale keeps every benchmark iteration in the hundreds of
@@ -134,61 +131,6 @@ func BenchmarkFig10_Combined(b *testing.B) {
 // metricName makes a label safe for testing.B.ReportMetric (no spaces).
 func metricName(s string) string {
 	return strings.NewReplacer(" ", "", "/", "", "(", "", ")", "").Replace(s)
-}
-
-// innBenchComputer builds the shared fixture for the probe-engine
-// benchmarks: a 2k-point noisy series with a few collective anomalies, so
-// neighborhoods have realistic structure (the Fig. 11 anchor size).
-func innBenchComputer() (*inn.Computer, int) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 2000)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()
-	}
-	for _, at := range []int{300, 800, 1300, 1800} {
-		for j := 0; j < 6; j++ {
-			vals[at+j] += 40
-		}
-	}
-	c := inn.FromSeries(series.New("bench", vals))
-	return c, c.RangeLimit(0)
-}
-
-// benchINNEngines runs one neighborhood strategy under the legacy
-// (full-k-NN-probe) engine, the rank-query engine, and the rank engine
-// with the measurement-only memo — the old-vs-new comparison backing the
-// engine swap.
-func benchINNEngines(b *testing.B, call func(c *inn.Computer, i, tlim int) []int) {
-	base, tlim := innBenchComputer()
-	engines := []struct {
-		name string
-		c    *inn.Computer
-	}{
-		{"legacy", base.WithLegacyProbes(true)},
-		{"rank", base.WithLegacyProbes(false)},
-		{"rank+memo", base.WithLegacyProbes(false).WithRankMemo(0)},
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				call(eng.c, i%eng.c.Len(), tlim)
-			}
-		})
-	}
-}
-
-func BenchmarkINNBinary(b *testing.B) {
-	benchINNEngines(b, func(c *inn.Computer, i, tlim int) []int { return c.Binary(i, tlim) })
-}
-
-func BenchmarkINNMinimal(b *testing.B) {
-	benchINNEngines(b, func(c *inn.Computer, i, tlim int) []int { return c.Minimal(i, tlim) })
-}
-
-func BenchmarkINNMutualSet(b *testing.B) {
-	benchINNEngines(b, func(c *inn.Computer, i, tlim int) []int { return c.MutualSet(i, tlim) })
 }
 
 func BenchmarkFig11_Runtime(b *testing.B) {

@@ -8,25 +8,18 @@
 //	cabd-bench -exp fig11 -full       # paper-scale datasets (slow)
 //
 // Experiment ids: fig1 fig3 table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// scale table2 fig12 fig13 fig14 multi chaos inn obs scenarios serve
-// stream load.
+// table2 fig12 fig13 fig14 multi chaos obs scenarios serve stream load.
 //
 // The scenarios experiment sweeps the fault-taxonomy grid (fault kind x
 // series family x channel count x severity) with CABD's joint
 // multivariate detector against every univariate baseline (run
-// per-channel, detections unioned), writes -scenjson (default
-// BENCH_scenarios.json), replays every cell against the sequential
-// row-major oracle, and fails the run on any detection divergence.
-// -smoke shrinks it to the CI grid; -full widens to every family.
+// per-channel, detections unioned) and writes -scenjson (default
+// BENCH_scenarios.json). -smoke shrinks it to the CI grid; -full widens
+// to every family.
 //
-// The runtime experiments (fig11, inn, obs, scale) additionally write
-// their rows to a machine-readable snapshot (-json, default
-// BENCH_runtime.json; empty string disables). The scale experiment
-// sweeps the optimized detection pass (SoA features, parallel forest
-// training, tree-major batch inference) against the sequential
-// row-major oracle across series length x GOMAXPROCS x candidate
-// threshold, fails the run on any detection divergence, and feeds
-// scripts/bench_guard (make bench-guard). With -metrics the obs experiment also merges its
+// The runtime experiments (fig11, obs) additionally write their rows to
+// a machine-readable snapshot (-json, default BENCH_runtime.json; empty
+// string disables). With -metrics the obs experiment also merges its
 // recorder snapshot — counters, degrade reasons, stage histograms — into
 // the JSON. The serve experiment benchmarks the HTTP serving layer
 // (throughput/latency quantiles, saturation shedding, one auto-labeled
@@ -66,7 +59,7 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale datasets (slow: tens of minutes)")
 	list := flag.Bool("list", false, "list experiment ids")
 	jsonPath := flag.String("json", "BENCH_runtime.json",
-		"runtime snapshot output for fig11/inn/obs ('' disables)")
+		"runtime snapshot output for fig11/obs ('' disables)")
 	metrics := flag.Bool("metrics", false,
 		"merge the obs recorder snapshot (counters, histograms) of the obs experiment into the runtime JSON")
 	serveJSON := flag.String("servejson", "BENCH_serve.json",
@@ -124,14 +117,6 @@ func main() {
 			snap.Fig11 = experiments.Fig11(sizes)
 			experiments.PrintFig11(out, snap.Fig11)
 		}},
-		{"inn", "INN probe engines: legacy k-NN probes vs rank queries", func(sc experiments.Scale) {
-			sizes := []int{2000, 5000}
-			if *full {
-				sizes = experiments.Fig11Sizes
-			}
-			snap.INN = experiments.INNEngines(sizes)
-			experiments.PrintINNEngines(out, snap.INN)
-		}},
 		{"obs", "pipeline stage profile from the observability recorder", func(sc experiments.Scale) {
 			sizes := []int{2000, 5000}
 			if *full {
@@ -143,22 +128,6 @@ func main() {
 				snap.Obs = osnap
 			}
 			experiments.PrintStageProfile(out, rows)
-		}},
-		{"scale", "raw-speed scaling: optimized pass vs sequential oracle", func(sc experiments.Scale) {
-			sizes := []int{2000}
-			if *full {
-				sizes = []int{2000, 5000, 10000}
-			}
-			snap.Scale = experiments.ScaleSweep(sizes, nil, nil)
-			experiments.PrintScale(out, snap.Scale)
-			for _, p := range snap.Scale {
-				if !p.Equal {
-					fmt.Fprintf(os.Stderr,
-						"cabd-bench: scale experiment: n=%d procs=%d cand_z=%.1f detections DIVERGED from the sequential oracle\n",
-						p.N, p.Procs, p.CandZ)
-					os.Exit(1)
-				}
-			}
 		}},
 		{"table2", "active-learning accuracy/confidence trace", func(sc experiments.Scale) {
 			experiments.PrintTable2(out, experiments.Table2(sc))
@@ -193,12 +162,6 @@ func main() {
 					os.Exit(1)
 				}
 				fmt.Fprintf(out, "taxonomy benchmark written to %s\n", *scenJSON)
-			}
-			if len(res.OracleDivergences) > 0 {
-				fmt.Fprintf(os.Stderr,
-					"cabd-bench: scenarios experiment: multivariate detections DIVERGED from the sequential oracle in %d cells: %v\n",
-					len(res.OracleDivergences), res.OracleDivergences)
-				os.Exit(1)
 			}
 		}},
 		{"serve", "HTTP serving layer: throughput, saturation shedding, session e2e", func(sc experiments.Scale) {

@@ -390,8 +390,8 @@ func TestReloadSafeVsIdentity(t *testing.T) {
 	oldClient := a.cl
 
 	next := cfg
-	next.Name = "other"           // identity: ignored
-	next.Window = 256             // detector shape: ignored
+	next.Name = "other" // identity: ignored
+	next.Window = 256   // detector shape: ignored
 	next.PollEvery = 5 * time.Second
 	next.BatchSize = 99
 	next.SpillMaxBytes = 123

@@ -268,10 +268,15 @@ type clsScratch struct {
 	y      []int
 	w      []float64
 	counts []float64
-	full   []float64   // flat batch full-ensemble distributions
-	oob    []float64   // flat batch out-of-bag distributions
-	X      [][]float64 // row-major oracle rows (SeqOracle only)
+	full   []float64 // flat batch full-ensemble distributions
+	oob    []float64 // flat batch out-of-bag distributions
 }
+
+// rowClassifier trains and applies a forest the way classify does, from
+// the labels y and weights w it prepared. It is the seam through which
+// tests swap in the sequential row-major reference (export_test.go); a
+// Detector outside tests never holds one.
+type rowClassifier func(d *Detector, cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand) *forest.Forest
 
 // classify trains the random forest on the pseudo-labels overridden by
 // oracle answers (true labels carry LabelWeight sampling weight) and
@@ -281,11 +286,9 @@ type clsScratch struct {
 // label with full confidence. The trained ensemble is returned so the
 // run's Result can expose the final model for checkpointing.
 //
-// The default path trains over the SoA feature matrix with per-tree
-// parallelism and classifies all candidates through one fused
-// tree-major pass (full and out-of-bag distributions together);
-// Options.SeqOracle selects the sequential row-major reference path
-// instead, which must produce bit-identical results.
+// It trains over the SoA feature matrix with per-tree parallelism and
+// classifies all candidates through one fused tree-major pass (full and
+// out-of-bag distributions together).
 func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
 	n := len(cands)
 	if cap(scr.y) < n {
@@ -323,8 +326,8 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 		MinLeaf:    3, // soft leaves: boundary candidates keep honest (<1) confidence
 		NumClasses: NumClasses,
 	}
-	if d.opts.SeqOracle {
-		return d.classifySeq(cands, len(m.Cols), y, w, cfg, trueLabels, rng, scr)
+	if d.opts.classifyRows != nil {
+		return (*d.opts.classifyRows)(d, cands, len(m.Cols), y, w, cfg, trueLabels, rng)
 	}
 	fr := forest.TrainMatrixWeighted(m, y, w, cfg, rng)
 	if fr == nil {
@@ -351,45 +354,6 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 		}
 		cands[i].Class = Class(bi)
 		cands[i].Confidence = scr.oob[i*NumClasses+bi]
-	}
-	return fr
-}
-
-// classifySeq is the sequential row-major differential oracle: the
-// per-candidate feature rows the SoA columns replaced, single-goroutine
-// training, and per-row inference. Kept verbatim so the determinism
-// suite and the scale benchmark can prove the optimized path emits
-// bit-identical detections.
-func (d *Detector) classifySeq(cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
-	n := len(cands)
-	cfg.Workers = 1
-	if len(scr.X) < n {
-		scr.X = make([][]float64, n)
-	}
-	X := scr.X[:n]
-	for i := range cands {
-		X[i] = cands[i].features(d.opts, width)
-	}
-	fr := forest.TrainWeighted(X, y, w, cfg, rng)
-	for i := range cands {
-		if cls, ok := trueLabels[i]; ok {
-			cands[i].Class = cls
-			cands[i].Confidence = 1
-			continue
-		}
-		if fr == nil {
-			continue
-		}
-		full := fr.PredictProba(X[i])
-		best, bi := -1.0, 0
-		for c, p := range full {
-			if p > best {
-				best, bi = p, c
-			}
-		}
-		oob := fr.PredictProbaOOB(i, X[i])
-		cands[i].Class = Class(bi)
-		cands[i].Confidence = oob[bi]
 	}
 	return fr
 }

@@ -101,20 +101,11 @@ type Options struct {
 	// recorded on the Result. Default 4096; negative disables.
 	DegradeCandidates int
 
-	// SeqOracle forces the sequential row-major reference paths the
-	// optimized pipeline is differentially tested against: one scoring
-	// worker, single-goroutine forest training, per-candidate row-major
-	// feature vectors and per-row forest inference. Detections are
-	// bit-identical to the default batched/parallel paths — that
-	// equivalence is what the determinism suite and the `-exp scale`
-	// benchmark enforce — just slower. Off by default.
-	SeqOracle bool
-
-	// Obs receives pipeline metrics: stage spans, candidate/query/
-	// degradation counters, rank-memo statistics. One recorder may be
-	// shared across detectors, batch workers and streaming pushes. Nil
-	// (the default) disables instrumentation entirely — the nil path
-	// reads no clock and allocates nothing.
+	// Obs receives pipeline metrics: stage spans and candidate, query
+	// and degradation counters. One recorder may be shared across
+	// detectors, batch workers and streaming pushes. Nil (the default)
+	// disables instrumentation entirely — the nil path reads no clock
+	// and allocates nothing.
 	Obs *obs.Recorder
 
 	// Trees is the random-forest size. Default 100.
@@ -122,6 +113,11 @@ type Options struct {
 	// Seed drives every stochastic component (forest bagging, GMM
 	// seeding) so runs are reproducible. Default 1.
 	Seed int64
+
+	// classifyRows replaces classify's forest when set. Only tests set
+	// it, to prove the optimized path against a row-major reference. A
+	// pointer, not a func value, so Options stays comparable.
+	classifyRows *rowClassifier
 }
 
 func (o Options) defaults() Options {

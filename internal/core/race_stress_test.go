@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -45,7 +46,9 @@ func TestConcurrentDetectSharedRecorder(t *testing.T) {
 	oracle := stormLabeler{}
 
 	// Sequential-oracle baseline, computed once before the storm.
-	base := NewDetector(Options{Seed: 1, SeqOracle: true, Obs: rec}).Detect(mk("base"))
+	prev := runtime.GOMAXPROCS(1)
+	base := NewDetector(WithSeqOracle(Options{Seed: 1, Obs: rec})).Detect(mk("base"))
+	runtime.GOMAXPROCS(prev)
 
 	const goroutines = 8
 	const rounds = 3

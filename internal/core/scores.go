@@ -265,9 +265,6 @@ func (sc *scorer) scoreAll(ctx context.Context, cands []Candidate) (degraded boo
 	}
 	sc.feats = getFeatMatrix(len(cands), featWidth(len(sc.chans)))
 	workers := runtime.GOMAXPROCS(0)
-	if sc.opts.SeqOracle {
-		workers = 1
-	}
 	if workers > len(cands) {
 		workers = len(cands)
 	}

@@ -38,58 +38,6 @@ func TestFig11FakeClockExact(t *testing.T) {
 	}
 }
 
-// TestINNEnginesFakeClockExact: each engine cell is one span over
-// `probes` calls, so ns/op is exactly step/probes, and identical legacy
-// and rank spans make every speedup exactly 1.
-func TestINNEnginesFakeClockExact(t *testing.T) {
-	withFakeClock(t, 64*time.Microsecond) // 64 probes at n=64 -> exactly 1000 ns/op
-	rows := INNEngines([]int{64})
-	if len(rows) != 6 {
-		t.Fatalf("INNEngines returned %d rows, want 3 strategies x 2 engines", len(rows))
-	}
-	for _, r := range rows {
-		if r.NsPerOp != 1000 {
-			t.Errorf("%s/%s: %v ns/op, want exactly 1000", r.Strategy, r.Engine, r.NsPerOp)
-		}
-		if r.Engine == "rank" && r.Speedup != 1 {
-			t.Errorf("%s/rank: speedup %v, want exactly 1 under equal fake spans", r.Strategy, r.Speedup)
-		}
-	}
-}
-
-// TestScaleSweepFakeClockExact: every scale measurement brackets one
-// detection with exactly two Now calls per rep, so under a stepping
-// clock each rep reads one step, the min-of-reps is one step, and every
-// speedup is exactly 1. It also requires every cell's differential
-// verdict to hold: the optimized pass must match the sequential oracle
-// on this workload at every proc setting.
-func TestScaleSweepFakeClockExact(t *testing.T) {
-	step := 125 * time.Millisecond
-	withFakeClock(t, step)
-	pts := ScaleSweep([]int{400}, []int{1, 2}, []float64{3})
-	if len(pts) != 2 {
-		t.Fatalf("ScaleSweep returned %d points, want 2", len(pts))
-	}
-	for _, p := range pts {
-		if p.OracleSeconds != step.Seconds() || p.FastSeconds != step.Seconds() {
-			t.Errorf("n=%d procs=%d: oracle %v fast %v, want exactly %v each",
-				p.N, p.Procs, p.OracleSeconds, p.FastSeconds, step.Seconds())
-		}
-		if p.Speedup != 1 {
-			t.Errorf("n=%d procs=%d: speedup %v, want exactly 1 under equal fake spans", p.N, p.Procs, p.Speedup)
-		}
-		if !p.Equal {
-			t.Errorf("n=%d procs=%d: detections diverged from the sequential oracle", p.N, p.Procs)
-		}
-		if p.Cands <= 0 {
-			t.Errorf("n=%d procs=%d: no candidates scored", p.N, p.Procs)
-		}
-		if p.Cores < 1 || p.Cores > p.Procs {
-			t.Errorf("n=%d procs=%d: effective cores %d out of range", p.N, p.Procs, p.Cores)
-		}
-	}
-}
-
 // TestChaosFakeClockExact: each chaos cell times the guarded detection
 // with one Now pair, so Elapsed is exactly one step for every row that
 // reached detection.

@@ -12,7 +12,6 @@ import (
 	"cabd/internal/baselines/numenta"
 	"cabd/internal/baselines/twitteresd"
 	"cabd/internal/core"
-	"cabd/internal/inn"
 	"cabd/internal/obs"
 	"cabd/internal/synth"
 )
@@ -84,85 +83,6 @@ func PrintFig11(w io.Writer, pts []Fig11Point) {
 	}
 }
 
-// INNEngineRow is one (strategy, engine, size) cell of the probe-engine
-// runtime comparison: the legacy full-k-NN membership probe versus the
-// rank-query engine, averaged per neighborhood query.
-type INNEngineRow struct {
-	Strategy string  `json:"strategy"`
-	Engine   string  `json:"engine"`
-	N        int     `json:"n"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	Speedup  float64 `json:"speedup,omitempty"` // legacy ns / this ns; 0 on legacy rows
-}
-
-// innEngineProbes caps the per-cell query count so the legacy MutualSet
-// sweep (milliseconds per query at 5k points) stays tractable.
-const innEngineProbes = 500
-
-// INNEngines measures the INN probe engines head to head on the Fig. 11
-// synthetic workload: per data size, each neighborhood strategy runs the
-// same strided query set under the legacy engine and the rank engine.
-func INNEngines(sizes []int) []INNEngineRow {
-	if len(sizes) == 0 {
-		sizes = []int{2000}
-	}
-	strategies := []struct {
-		name string
-		call func(c *inn.Computer, i, tlim int) []int
-	}{
-		{"Minimal", func(c *inn.Computer, i, tlim int) []int { return c.Minimal(i, tlim) }},
-		{"Binary", func(c *inn.Computer, i, tlim int) []int { return c.Binary(i, tlim) }},
-		{"MutualSet", func(c *inn.Computer, i, tlim int) []int { return c.MutualSet(i, tlim) }},
-	}
-	var out []INNEngineRow
-	for _, n := range sizes {
-		base := inn.FromSeries(synth.YahooLike(42, n))
-		tlim := base.RangeLimit(0)
-		probes := innEngineProbes
-		if probes > n {
-			probes = n
-		}
-		stride := n / probes
-		for _, st := range strategies {
-			var legacyNs float64
-			for _, eng := range []struct {
-				name string
-				c    *inn.Computer
-			}{
-				{"legacy", base.WithLegacyProbes(true)},
-				{"rank", base.WithLegacyProbes(false)},
-			} {
-				start := clk.Now()
-				for p := 0; p < probes; p++ {
-					st.call(eng.c, p*stride, tlim)
-				}
-				ns := float64(clk.Now().Sub(start).Nanoseconds()) / float64(probes)
-				row := INNEngineRow{Strategy: st.name, Engine: eng.name, N: n, NsPerOp: ns}
-				if eng.name == "legacy" {
-					legacyNs = ns
-				} else if ns > 0 {
-					row.Speedup = legacyNs / ns
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out
-}
-
-// PrintINNEngines renders the probe-engine comparison.
-func PrintINNEngines(w io.Writer, rows []INNEngineRow) {
-	fprintf(w, "INN probe engines: legacy k-NN probes vs rank queries (ns per neighborhood)\n")
-	fprintf(w, "%-10s %-8s %8s %12s %9s\n", "strategy", "engine", "n", "ns/op", "speedup")
-	for _, r := range rows {
-		sp := ""
-		if r.Speedup > 0 {
-			sp = fprintfS("%8.1fx", r.Speedup)
-		}
-		fprintf(w, "%-10s %-8s %8d %12.0f %9s\n", r.Strategy, r.Engine, r.N, r.NsPerOp, sp)
-	}
-}
-
 // StageRow is one per-stage runtime share of an instrumented CABD run
 // (the where-does-the-time-go breakdown Figure 11 cannot show, since its
 // baseline rows have no recorder).
@@ -216,13 +136,8 @@ func PrintStageProfile(w io.Writer, rows []StageRow) {
 // RuntimeSnapshot aggregates the machine-readable runtime results that
 // cmd/cabd-bench emits as BENCH_runtime.json.
 type RuntimeSnapshot struct {
-	Fig11  []Fig11Point   `json:"fig11,omitempty"`
-	INN    []INNEngineRow `json:"inn_engines,omitempty"`
-	Stages []StageRow     `json:"stage_profile,omitempty"`
-	// Scale is the raw-speed scaling sweep (optimized pass vs the
-	// sequential row-major oracle); scripts/bench_guard diffs these rows
-	// against checked-in tolerances.
-	Scale []ScalePoint `json:"scale,omitempty"`
+	Fig11  []Fig11Point `json:"fig11,omitempty"`
+	Stages []StageRow   `json:"stage_profile,omitempty"`
 	// Obs is the metrics-recorder snapshot of the stage-profile sweep,
 	// merged in under -metrics.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
@@ -230,8 +145,7 @@ type RuntimeSnapshot struct {
 
 // Empty reports whether the snapshot holds no measurements.
 func (s RuntimeSnapshot) Empty() bool {
-	return len(s.Fig11) == 0 && len(s.INN) == 0 && len(s.Stages) == 0 &&
-		len(s.Scale) == 0 && s.Obs == nil
+	return len(s.Fig11) == 0 && len(s.Stages) == 0 && s.Obs == nil
 }
 
 // WriteRuntimeJSON writes the snapshot to path as indented JSON.

@@ -28,11 +28,8 @@ func goldenSnapshot() RuntimeSnapshot {
 	snap := rec.Snapshot()
 	return RuntimeSnapshot{
 		Fig11:  []Fig11Point{{Algorithm: "CABD (optimized)", N: 2000, Seconds: 0.125}},
-		INN:    []INNEngineRow{{Strategy: "Binary", Engine: "rank", N: 2000, NsPerOp: 1500, Speedup: 8.5}},
 		Stages: []StageRow{{N: 2000, Stage: "inn_score", Seconds: 0.025, Frac: 0.5}},
-		Scale: []ScalePoint{{N: 2000, Procs: 8, Cores: 8, CandZ: 3, Cands: 160,
-			OracleSeconds: 0.2, FastSeconds: 0.025, Speedup: 8, Equal: true}},
-		Obs: &snap,
+		Obs:    &snap,
 	}
 }
 

@@ -39,27 +39,22 @@ type ScenarioScore struct {
 // ScenarioCellResult is one cell of the fault-taxonomy grid with every
 // algorithm scored against the cell's fault-onset ground truth.
 type ScenarioCellResult struct {
-	Cell     string `json:"cell"`
-	Kind     string `json:"kind"`
-	Family   string `json:"family"`
-	Channels int    `json:"channels"`
-	Severity string `json:"severity"`
-	N        int    `json:"n"`
-	Truth    int    `json:"truth"`
-	// OracleEqual reports whether the parallel multivariate CABD run was
-	// bit-identical (indices, subtypes, confidences) to the sequential
-	// row-major oracle on this cell.
-	OracleEqual bool            `json:"oracle_equal"`
-	Scores      []ScenarioScore `json:"scores"`
+	Cell     string          `json:"cell"`
+	Kind     string          `json:"kind"`
+	Family   string          `json:"family"`
+	Channels int             `json:"channels"`
+	Severity string          `json:"severity"`
+	N        int             `json:"n"`
+	Truth    int             `json:"truth"`
+	Scores   []ScenarioScore `json:"scores"`
 }
 
 // ScenarioBenchResult is the full taxonomy-grid benchmark: per-cell
 // scores plus a per-algorithm summary averaged over the grid.
 type ScenarioBenchResult struct {
-	Tol               int                  `json:"tol"`
-	Cells             []ScenarioCellResult `json:"cells"`
-	Summary           []ScenarioScore      `json:"summary"`
-	OracleDivergences []string             `json:"oracle_divergences,omitempty"`
+	Tol     int                  `json:"tol"`
+	Cells   []ScenarioCellResult `json:"cells"`
+	Summary []ScenarioScore      `json:"summary"`
 }
 
 // ScenarioConfig parameterizes the taxonomy benchmark. The zero value
@@ -110,8 +105,7 @@ func ScenarioFullConfig() ScenarioConfig {
 // d-channel cells per channel with detections unioned — the classic
 // adaptation the joint detector competes against. The supervised
 // baselines receive the cell's true contamination; PELT receives its
-// brute-forced best penalty (the Fig9 protocol). Every cell also replays
-// CABD against the sequential row-major oracle and records divergence.
+// brute-forced best penalty (the Fig9 protocol).
 func ScenarioBench(cfg ScenarioConfig) ScenarioBenchResult {
 	cfg = cfg.defaults()
 	scens := cfg.Grid.Generate()
@@ -158,17 +152,12 @@ func ScenarioBench(cfg ScenarioConfig) ScenarioBenchResult {
 			repaired, srep = sc.Dims, nil
 		}
 		ms := multi.NewSeries(sc.Name, repaired)
-		par := multi.NewDetector(core.Options{}).Detect(ms)
-		seq := multi.NewDetector(core.Options{SeqOracle: true}).Detect(ms)
-		cell.OracleEqual = sameDetections(par, seq)
-		if !cell.OracleEqual {
-			res.OracleDivergences = append(res.OracleDivergences, cell.Cell)
-		}
+		joint := multi.NewDetector(core.Options{}).Detect(ms)
 		// CABD's answer is the whole pipeline's: detector verdicts plus
 		// what the sanitize stage intercepted — for the pipeline,
 		// repairing a corrupted stretch IS detecting it. Contiguous
 		// repairs collapse to onsets like the truth does.
-		cabdGot := unionInts(par.AnomalyIndices(), par.ChangePointIndices())
+		cabdGot := unionInts(joint.AnomalyIndices(), joint.ChangePointIndices())
 		if srep != nil {
 			cabdGot = unionInts(cabdGot, scenario.Onsets(srep.Repaired))
 			cabdGot = unionInts(cabdGot, scenario.Onsets(srep.Dropped))
@@ -218,31 +207,6 @@ func peltUnion(dims [][]float64, truth []int, tol int) []int {
 	return got
 }
 
-// sameDetections reports whether two detection results are
-// bit-identical: same strategy, same anomalies and change points down to
-// the exact confidence bits.
-func sameDetections(a, b *core.Result) bool {
-	if a.Strategy != b.Strategy || len(a.Anomalies) != len(b.Anomalies) ||
-		len(a.ChangePoints) != len(b.ChangePoints) {
-		return false
-	}
-	for i := range a.Anomalies {
-		x, y := a.Anomalies[i], b.Anomalies[i]
-		if x.Index != y.Index || x.Subtype != y.Subtype ||
-			fmt.Sprintf("%b", x.Confidence) != fmt.Sprintf("%b", y.Confidence) {
-			return false
-		}
-	}
-	for i := range a.ChangePoints {
-		x, y := a.ChangePoints[i], b.ChangePoints[i]
-		if x.Index != y.Index || x.Subtype != y.Subtype ||
-			fmt.Sprintf("%b", x.Confidence) != fmt.Sprintf("%b", y.Confidence) {
-			return false
-		}
-	}
-	return true
-}
-
 // unionInts merges two sorted-or-not index slices into one sorted,
 // deduplicated slice.
 func unionInts(a, b []int) []int {
@@ -262,7 +226,7 @@ func unionInts(a, b []int) []int {
 }
 
 // PrintScenarios renders the taxonomy benchmark: the per-algorithm
-// summary, the per-cell CABD line, and any oracle divergence.
+// summary and the per-cell CABD line.
 func PrintScenarios(w io.Writer, res ScenarioBenchResult) {
 	fprintf(w, "Scenarios: fault-taxonomy grid (tol=%d, %d cells)\n", res.Tol, len(res.Cells))
 	fprintf(w, "  %-12s %7s %7s %7s %6s\n", "algorithm", "P", "R", "F", "dets")
@@ -278,15 +242,8 @@ func PrintScenarios(w io.Writer, res ScenarioBenchResult) {
 				break
 			}
 		}
-		oracle := "ok"
-		if !c.OracleEqual {
-			oracle = "DIVERGED"
-		}
-		fprintf(w, "    %-32s truth=%-3d F=%s dets=%-3d oracle=%s\n",
-			c.Cell, c.Truth, pct(cabd.F1), cabd.Detections, oracle)
-	}
-	if len(res.OracleDivergences) > 0 {
-		fprintf(w, "  ORACLE DIVERGENCES: %v\n", res.OracleDivergences)
+		fprintf(w, "    %-32s truth=%-3d F=%s dets=%d\n",
+			c.Cell, c.Truth, pct(cabd.F1), cabd.Detections)
 	}
 }
 

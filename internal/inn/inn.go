@@ -40,7 +40,6 @@
 package inn
 
 import (
-	"os"
 	"sort"
 	"sync"
 
@@ -51,12 +50,6 @@ import (
 // DefaultRangeFrac is the pruning bound of the optimized INN search: an
 // anomalous pattern should not exceed 5% of the dataset (Section IV).
 const DefaultRangeFrac = 0.05
-
-// LegacyEngineEnv selects the naive probe engine when set to "legacy":
-// every mutual-membership probe answered by materializing a full k-NN
-// list and scanning it. Kept as the differential-test oracle for the
-// rank-query engine; see Computer.WithLegacyProbes.
-const LegacyEngineEnv = "CABD_INN_ENGINE"
 
 // index answers the two primitive queries every INN strategy reduces to,
 // over the point set identified by indices 0..Len()-1 and the documented
@@ -121,15 +114,12 @@ func (s *ndIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
 // so InTopK(i, j, k) is rank(i, j) < k with cost O(log n + |ball|)
 // instead of a full allocating k-NN query per probe.
 type Computer struct {
-	idx    index
-	n      int       // cached idx.Len()
-	legacy bool      // answer probes via full k-NN lists (test oracle)
-	memo   *rankMemo // (i,j) -> rank cache; measurement only, see WithRankMemo
+	idx  index
+	n    int       // cached idx.Len()
+	memo *rankMemo // (i,j) -> rank cache; measurement only, see WithRankMemo
 }
 
-// NewComputer indexes 2-D points (built once, queried many times). The
-// probe engine defaults to rank queries; setting CABD_INN_ENGINE=legacy
-// in the environment selects the naive k-NN-membership oracle instead.
+// NewComputer indexes 2-D points (built once, queried many times).
 func NewComputer(pts [][2]float64) *Computer {
 	return newComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
 }
@@ -143,24 +133,7 @@ func NewNComputer(pts [][]float64) *Computer {
 }
 
 func newComputerOver(idx index) *Computer {
-	return &Computer{
-		idx:    idx,
-		n:      idx.Len(),
-		legacy: os.Getenv(LegacyEngineEnv) == "legacy",
-	}
-}
-
-// WithLegacyProbes returns a copy of c whose mutual-membership probes use
-// the naive full-k-NN-scan path (on=true) or the rank-query engine
-// (on=false). The copy shares the index; the legacy path takes no memo.
-// This is the differential-testing and old-vs-new benchmarking hook.
-func (c *Computer) WithLegacyProbes(on bool) *Computer {
-	cc := *c
-	cc.legacy = on
-	if on {
-		cc.memo = nil
-	}
-	return &cc
+	return &Computer{idx: idx, n: idx.Len()}
 }
 
 // WithRankMemo returns a copy of c that caches rank probes in a bounded
@@ -176,9 +149,7 @@ func (c *Computer) WithLegacyProbes(on bool) *Computer {
 // (MemoStats) that showed this.
 func (c *Computer) WithRankMemo(capacity int) *Computer {
 	cc := *c
-	if !cc.legacy {
-		cc.memo = newRankMemo(capacity)
-	}
+	cc.memo = newRankMemo(capacity)
 	return &cc
 }
 
@@ -263,9 +234,6 @@ func (c *Computer) InTopK(i, j, k int) bool {
 	if i == j || i < 0 || j < 0 || i >= n || j >= n {
 		return false
 	}
-	if c.legacy {
-		return c.legacyInTopK(i, j, k)
-	}
 	if k >= n {
 		return c.Rank(i, j) < k
 	}
@@ -285,18 +253,6 @@ func (c *Computer) InTopK(i, j, k int) bool {
 		return r < k
 	}
 	return c.idx.RankAtMost(i, j, k) < k
-}
-
-// legacyInTopK is the pre-rank-engine probe: materialize NN_k(x_i) and
-// scan it for j. O(t log n) with a fresh neighbor list and index slice
-// per probe; retained as the differential-test oracle.
-func (c *Computer) legacyInTopK(i, j, k int) bool {
-	for _, idx := range c.KNN(i, k) {
-		if idx == j {
-			return true
-		}
-	}
-	return false
 }
 
 // MutualSet returns every j with mutual top-t membership with i — the

@@ -7,7 +7,30 @@ import (
 	"testing"
 
 	"cabd/internal/series"
+	"cabd/internal/synth"
 )
+
+// legacyIndex is the probe oracle the rank queries replaced: a
+// membership probe materializes the k nearest neighbors of x_i and
+// scans them for x_j, so RankAtMost returns j's position in
+// KNNInto(i, limit), or limit when j is absent. Every other query goes
+// to the wrapped index.
+type legacyIndex struct{ index }
+
+func (l legacyIndex) RankAtMost(i, j, limit int) int {
+	for pos, nb := range l.KNNInto(i, limit, nil) {
+		if nb.Index == j {
+			return pos
+		}
+	}
+	return limit
+}
+
+// legacy returns a Computer over c's points whose probes go through
+// legacyIndex.
+func legacy(c *Computer) *Computer {
+	return newComputerOver(legacyIndex{c.idx})
+}
 
 // testSeriesSet returns value slices covering the probe engine's hard
 // cases: generic noise, noise with collective anomalies and level shifts,
@@ -55,16 +78,15 @@ func testSeriesSet(rng *rand.Rand) [][]float64 {
 func TestInTopKRankMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for si, vals := range testSeriesSet(rng) {
-		c := FromSeries(series.New("diff", vals))
-		rank := c.WithLegacyProbes(false)
+		rank := FromSeries(series.New("diff", vals))
 		memo := rank.WithRankMemo(0)
-		legacy := c.WithLegacyProbes(true)
-		n := c.Len()
+		oracle := legacy(rank)
+		n := rank.Len()
 		for probe := 0; probe < 3000; probe++ {
 			i := rng.Intn(n)
 			j := rng.Intn(n)
 			k := 1 + rng.Intn(n)
-			want := legacy.InTopK(i, j, k)
+			want := oracle.InTopK(i, j, k)
 			if got := rank.InTopK(i, j, k); got != want {
 				t.Fatalf("series %d: InTopK(%d,%d,%d) rank=%v legacy=%v",
 					si, i, j, k, got, want)
@@ -86,16 +108,16 @@ func TestNeighborhoodsEngineIdentical(t *testing.T) {
 	for si, vals := range testSeriesSet(rng) {
 		c := FromSeries(series.New("diff", vals))
 		engines := map[string]*Computer{
-			"rank":      c.WithLegacyProbes(false),
-			"rank+memo": c.WithLegacyProbes(false).WithRankMemo(0),
+			"rank":      c,
+			"rank+memo": c.WithRankMemo(0),
 		}
-		legacy := c.WithLegacyProbes(true)
+		oracle := legacy(c)
 		n := c.Len()
 		for _, tlim := range []int{1, 3, c.RangeLimit(0), c.RangeLimit(0.2), n - 1} {
 			for i := 0; i < n; i += 1 + n/40 {
-				wantMin := legacy.Minimal(i, tlim)
-				wantBin := legacy.Binary(i, tlim)
-				wantSet := legacy.MutualSet(i, tlim)
+				wantMin := oracle.Minimal(i, tlim)
+				wantBin := oracle.Binary(i, tlim)
+				wantSet := oracle.MutualSet(i, tlim)
 				for name, eng := range engines {
 					if got := eng.Minimal(i, tlim); !reflect.DeepEqual(got, wantMin) {
 						t.Fatalf("series %d %s: Minimal(%d,%d)=%v, legacy %v",
@@ -166,36 +188,98 @@ func TestNComputerEngineIdentical(t *testing.T) {
 		}
 		pts[i] = row
 	}
-	c := NewNComputer(pts)
-	rank := c.WithLegacyProbes(false)
-	legacy := c.WithLegacyProbes(true)
-	tlim := c.RangeLimit(0)
+	rank := NewNComputer(pts)
+	oracle := legacy(rank)
+	tlim := rank.RangeLimit(0)
 	for i := 0; i < n; i++ {
-		if got, want := rank.Minimal(i, tlim), legacy.Minimal(i, tlim); !reflect.DeepEqual(got, want) {
+		if got, want := rank.Minimal(i, tlim), oracle.Minimal(i, tlim); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ND Minimal(%d)=%v, legacy %v", i, got, want)
 		}
-		if got, want := rank.Binary(i, tlim), legacy.Binary(i, tlim); !reflect.DeepEqual(got, want) {
+		if got, want := rank.Binary(i, tlim), oracle.Binary(i, tlim); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ND Binary(%d)=%v, legacy %v", i, got, want)
 		}
-		if got, want := rank.MutualSet(i, tlim), legacy.MutualSet(i, tlim); !reflect.DeepEqual(got, want) {
+		if got, want := rank.MutualSet(i, tlim), oracle.MutualSet(i, tlim); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ND MutualSet(%d)=%v, legacy %v", i, got, want)
 		}
 	}
 }
 
-// TestLegacyEnvGate checks the environment switch that keeps the naive
-// engine reachable without code changes.
-func TestLegacyEnvGate(t *testing.T) {
-	t.Setenv(LegacyEngineEnv, "legacy")
-	c := NewComputer([][2]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
-	if !c.legacy {
-		t.Fatal("CABD_INN_ENGINE=legacy did not select the legacy engine")
+// TestDetectFixtureEngineIdentical runs the probe differential on the
+// 2,000-point Yahoo-like fixture the detector determinism tests use: at
+// the detector's pruned range every point's Binary and Minimal
+// neighborhood, and a stride of MutualSet ones, must match the legacy
+// oracle member for member.
+func TestDetectFixtureEngineIdentical(t *testing.T) {
+	rank := FromSeries(synth.YahooLike(100, 2000))
+	oracle := legacy(rank)
+	tlim := rank.RangeLimit(0)
+	for i := 0; i < rank.Len(); i++ {
+		if got, want := rank.Binary(i, tlim), oracle.Binary(i, tlim); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Binary(%d)=%v, legacy %v", i, got, want)
+		}
+		if got, want := rank.Minimal(i, tlim), oracle.Minimal(i, tlim); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Minimal(%d)=%v, legacy %v", i, got, want)
+		}
+		if i%25 != 0 {
+			continue
+		}
+		if got, want := rank.MutualSet(i, tlim), oracle.MutualSet(i, tlim); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MutualSet(%d)=%v, legacy %v", i, got, want)
+		}
 	}
-	if !c.InTopK(0, 1, 1) || c.InTopK(0, 3, 2) {
-		t.Fatal("legacy engine gives wrong answers")
+}
+
+// innBenchComputer builds the shared fixture for the probe-engine
+// benchmarks: a 2k-point noisy series with a few collective anomalies, so
+// neighborhoods have realistic structure (the Fig. 11 anchor size).
+func innBenchComputer() (*Computer, int) {
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]float64, 2000)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
 	}
-	nc := NewNComputer([][]float64{{0, 0}, {1, 0}})
-	if !nc.legacy {
-		t.Fatal("ND computer ignored the engine env")
+	for _, at := range []int{300, 800, 1300, 1800} {
+		for j := 0; j < 6; j++ {
+			vals[at+j] += 40
+		}
 	}
+	c := FromSeries(series.New("bench", vals))
+	return c, c.RangeLimit(0)
+}
+
+// benchINNEngines runs one neighborhood strategy under the legacy
+// (full-k-NN-probe) engine, the rank-query engine, and the rank engine
+// with the measurement-only memo — the old-vs-new comparison backing the
+// engine swap.
+func benchINNEngines(b *testing.B, call func(c *Computer, i, tlim int) []int) {
+	base, tlim := innBenchComputer()
+	engines := []struct {
+		name string
+		c    *Computer
+	}{
+		{"legacy", legacy(base)},
+		{"rank", base},
+		{"rank+memo", base.WithRankMemo(0)},
+	}
+	for _, eng := range engines {
+		eng := eng
+		b.Run(eng.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				call(eng.c, i%eng.c.Len(), tlim)
+			}
+		})
+	}
+}
+
+func BenchmarkINNBinary(b *testing.B) {
+	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.Binary(i, tlim) })
+}
+
+func BenchmarkINNMinimal(b *testing.B) {
+	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.Minimal(i, tlim) })
+}
+
+func BenchmarkINNMutualSet(b *testing.B) {
+	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.MutualSet(i, tlim) })
 }

@@ -13,9 +13,10 @@ import (
 // replaced, verbatim apart from its identifiers (refBuilder, refTrain).
 // It re-sorts each node's (value, class) pairs per candidate feature and
 // draws weighted bootstrap rows by binary search over the cumulative
-// weights. It is the differential oracle of the production builder: the
-// SeqOracle path trains through the production builder too, so only this
-// copy can catch a wrong split.
+// weights. It is the differential oracle of the production builder:
+// core's sequential oracle (core.WithSeqOracle, in its tests) trains
+// through the production builder too, so only this copy can catch a
+// wrong split.
 
 // refTrain is TrainMatrixWeighted as it stood before the presorted
 // kernel, sequential only (the worker count never changes an ensemble).

@@ -57,19 +57,26 @@ func (f *Forest) Snapshot() *Snapshot {
 }
 
 // FromSnapshot rebuilds a Forest from its serialized form, validating
-// the node graph (indices in range, acyclic by forward reference, leaf
-// distributions sized to NumClasses) and the in-bag masks (none, or one
-// per tree, all of one length) so a corrupted checkpoint fails loudly
-// instead of predicting garbage. Only nodes reachable from the root are
-// kept, re-packed in preorder, so a round trip through Snapshot is
-// byte-stable. Without masks, out-of-bag predictions fall back to the
-// full ensemble. A nil snapshot returns nil.
+// the trees (at least one, as training makes), the node graph (indices
+// in range, acyclic by forward reference, every node reached at most
+// once, split features non-negative, leaf distributions sized to
+// NumClasses) and the in-bag masks (none, or one per tree, all of one
+// length) so a corrupted checkpoint fails loudly instead of predicting
+// garbage. Only nodes reachable from the root are kept, re-packed in
+// preorder, so a round trip through Snapshot is byte-stable. Without
+// masks, out-of-bag predictions fall back to the full ensemble. A nil
+// snapshot returns nil.
 func FromSnapshot(s *Snapshot) (*Forest, error) {
 	if s == nil {
 		return nil, nil
 	}
 	if s.NumClasses <= 0 {
 		return nil, fmt.Errorf("forest snapshot: num_classes %d", s.NumClasses)
+	}
+	if len(s.Trees) == 0 {
+		// Without a leaf to size it, num_classes alone would set the
+		// width of every prediction buffer.
+		return nil, fmt.Errorf("forest snapshot: no trees")
 	}
 	if len(s.InBag) != 0 && len(s.InBag) != len(s.Trees) {
 		return nil, fmt.Errorf("forest snapshot: %d in-bag rows for %d trees", len(s.InBag), len(s.Trees))
@@ -82,7 +89,8 @@ func FromSnapshot(s *Snapshot) (*Forest, error) {
 	f := &Forest{numClasses: s.NumClasses}
 	for ti, ts := range s.Trees {
 		nodes := make([]FlatNode, 0, len(ts.Nodes))
-		if _, err := unflatten(ts.Nodes, 0, s.NumClasses, &nodes); err != nil {
+		seen := make([]bool, len(ts.Nodes))
+		if _, err := unflatten(ts.Nodes, 0, s.NumClasses, seen, &nodes); err != nil {
 			return nil, fmt.Errorf("forest snapshot: tree %d: %w", ti, err)
 		}
 		f.trees = append(f.trees, tree{nodes: nodes})
@@ -96,11 +104,17 @@ func FromSnapshot(s *Snapshot) (*Forest, error) {
 // unflatten validates and copies the subtree rooted at src index at into
 // dst (preorder), returning its dst index. Children must sit strictly
 // after their parent in src (the preorder invariant), which rules out
-// cycles without a visited set.
-func unflatten(src []FlatNode, at, numClasses int, dst *[]FlatNode) (int, error) {
+// cycles, and no node may be reached twice (seen marks the visited
+// ones): two parents sharing a child would have every path below it
+// copied, doubling the tree with each shared level.
+func unflatten(src []FlatNode, at, numClasses int, seen []bool, dst *[]FlatNode) (int, error) {
 	if at < 0 || at >= len(src) {
 		return 0, fmt.Errorf("node index %d out of range [0, %d)", at, len(src))
 	}
+	if seen[at] {
+		return 0, fmt.Errorf("node %d reached twice", at)
+	}
+	seen[at] = true
 	fn := src[at]
 	out := len(*dst)
 	if fn.Probs != nil {
@@ -114,12 +128,15 @@ func unflatten(src []FlatNode, at, numClasses int, dst *[]FlatNode) (int, error)
 	if fn.Left <= at || fn.Right <= at {
 		return 0, fmt.Errorf("node %d children (%d, %d) not strictly after parent", at, fn.Left, fn.Right)
 	}
+	if fn.Feature < 0 {
+		return 0, fmt.Errorf("node %d splits on feature %d", at, fn.Feature)
+	}
 	*dst = append(*dst, FlatNode{Feature: fn.Feature, Threshold: fn.Threshold, Left: -1, Right: -1})
-	l, err := unflatten(src, fn.Left, numClasses, dst)
+	l, err := unflatten(src, fn.Left, numClasses, seen, dst)
 	if err != nil {
 		return 0, err
 	}
-	r, err := unflatten(src, fn.Right, numClasses, dst)
+	r, err := unflatten(src, fn.Right, numClasses, seen, dst)
 	if err != nil {
 		return 0, err
 	}

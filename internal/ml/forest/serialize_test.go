@@ -9,7 +9,7 @@ import (
 
 // trainFixture builds a small deterministic forest over two noisy
 // clusters.
-func trainFixture(t *testing.T) ([][]float64, *Forest) {
+func trainFixture(t testing.TB) ([][]float64, *Forest) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	var X [][]float64
@@ -98,6 +98,19 @@ func TestSnapshotValidation(t *testing.T) {
 			Trees: []TreeSnapshot{{Nodes: []FlatNode{leaf}}}},
 		"empty tree": {NumClasses: 2,
 			Trees: []TreeSnapshot{{}}},
+		// A node reached twice used to decode by copying every path below
+		// it: the 13-node chain grew to 8,191 nodes, a 19-node one to
+		// 524,287 in half a second.
+		"shared child, 13 nodes": sharedChildSnapshot(13),
+		"shared child, 19 nodes": sharedChildSnapshot(19),
+		"diamond": {NumClasses: 2, Trees: []TreeSnapshot{{Nodes: []FlatNode{
+			{Feature: 0, Left: 1, Right: 2}, {Feature: 0, Left: 3, Right: 4}, {Feature: 1, Left: 3, Right: 4}, leaf, leaf}}}},
+		// A negative split feature decoded, then panicked the first
+		// prediction.
+		"negative feature": {NumClasses: 2, Trees: []TreeSnapshot{{Nodes: []FlatNode{
+			{Feature: -1, Left: 1, Right: 2}, leaf, leaf}}}},
+		// Without trees, num_classes alone sized every prediction buffer.
+		"no trees": {NumClasses: 1 << 40},
 	}
 	for name, snap := range cases {
 		if _, err := FromSnapshot(snap); err == nil {
@@ -120,4 +133,91 @@ func TestSnapshotPreordersRoot(t *testing.T) {
 	if p[1] <= p[0] {
 		t.Fatalf("leaf distribution lost: %v", p)
 	}
+}
+
+// sharedChildSnapshot is a chain of n-1 split nodes whose two children
+// are both the next node, ending in a leaf: a DAG whose every path the
+// decoder used to copy, 2^n - 1 nodes from n.
+func sharedChildSnapshot(n int) *Snapshot {
+	nodes := make([]FlatNode, n)
+	for k := 0; k < n-1; k++ {
+		nodes[k] = FlatNode{Feature: 0, Left: k + 1, Right: k + 1}
+	}
+	nodes[n-1] = FlatNode{Left: -1, Right: -1, Probs: []float64{1, 0}}
+	return &Snapshot{NumClasses: 2, Trees: []TreeSnapshot{{Nodes: nodes}}}
+}
+
+// FuzzFromSnapshot decodes arbitrary JSON as a model checkpoint. A
+// snapshot that decodes must be no larger than its input and must then
+// predict, full and out-of-bag, without panicking on rows as wide as its
+// largest split feature (one row per in-bag mask entry, as the forest
+// was trained on).
+func FuzzFromSnapshot(f *testing.F) {
+	_, fr := trainFixture(f)
+	ckpt, err := json.Marshal(fr.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	// A shared child, and split features past the rows' width up to MaxInt.
+	seeds := []*Snapshot{sharedChildSnapshot(5)}
+	for _, feature := range []int{7, math.MaxInt, math.MaxInt / 3} {
+		seeds = append(seeds, &Snapshot{NumClasses: 2, Trees: []TreeSnapshot{{Nodes: []FlatNode{
+			{Feature: feature, Threshold: 0.5, Left: 1, Right: 2},
+			{Left: -1, Right: -1, Probs: []float64{1, 0}},
+			{Left: -1, Right: -1, Probs: []float64{0, 1}}}}}})
+	}
+	for _, s := range seeds {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"num_classes":2,"trees":[{"nodes":[{"f":-3,"l":1,"r":1},{"l":-1,"r":-1,"p":[0.5,0.5]}]}]}`))
+	f.Add([]byte(`null`))
+
+	values := []float64{0, -1, 1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap Snapshot
+		if json.Unmarshal(data, &snap) != nil {
+			return
+		}
+		g, err := FromSnapshot(&snap)
+		if err != nil {
+			return
+		}
+		maxFeature := 0
+		for ti, tr := range g.trees {
+			if len(tr.nodes) > len(snap.Trees[ti].Nodes) {
+				t.Fatalf("tree %d decoded to %d nodes from %d", ti, len(tr.nodes), len(snap.Trees[ti].Nodes))
+			}
+			for _, nd := range tr.nodes {
+				if nd.Probs == nil {
+					maxFeature = max(maxFeature, nd.Feature)
+				}
+			}
+		}
+		rows := 3
+		if len(g.inBag) > 0 {
+			rows = len(g.inBag[0])
+		}
+		// A model this wide is legal; the harness just won't allocate
+		// for it. The feature is bounded before any arithmetic on it,
+		// since a split feature may be as large as MaxInt.
+		if maxFeature >= 1<<16 || (maxFeature+1)*rows > 1<<16 || rows*g.numClasses > 1<<16 {
+			return
+		}
+		m := Matrix{Cols: make([][]float64, maxFeature+1), N: rows}
+		for c := range m.Cols {
+			m.Cols[c] = make([]float64, rows)
+			for i := range m.Cols[c] {
+				m.Cols[c][i] = values[(i+c)%len(values)]
+			}
+		}
+		full, oob := g.PredictProbaAndOOB(m, nil, nil)
+		if len(full) != rows*g.numClasses || len(oob) != rows*g.numClasses {
+			t.Fatalf("got %d full and %d out-of-bag values, want %d each", len(full), len(oob), rows*g.numClasses)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package multi
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -29,26 +28,6 @@ func resultFingerprint(r *core.Result) string {
 			c.XCorr, c.Class, c.Confidence)
 	}
 	return out
-}
-
-// TestSequentialOracleDifferential proves the parallel multivariate
-// scoring path is bit-identical to the sequential reference
-// (Options.SeqOracle) at GOMAXPROCS 1, 2 and 8 — the acceptance
-// criterion of the scenario subsystem.
-func TestSequentialOracleDifferential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, d := range []int{1, 3} {
-		s := gen(int64(10+d), 1200, d)
-		want := resultFingerprint(NewDetector(core.Options{SeqOracle: true}).Detect(s))
-		for _, procs := range []int{1, 2, 8} {
-			runtime.GOMAXPROCS(procs)
-			got := resultFingerprint(NewDetector(core.Options{}).Detect(s))
-			if got != want {
-				t.Errorf("d=%d GOMAXPROCS=%d: parallel result diverges from sequential oracle\n got %s\nwant %s",
-					d, procs, got, want)
-			}
-		}
-	}
 }
 
 // TestFixedSeedDeterminism runs the same detection repeatedly and

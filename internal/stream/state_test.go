@@ -128,3 +128,78 @@ func TestResumeRepairsWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeCorruptCountersStillEmit: a checkpoint whose SinceRun never
+// reaches Hop, or whose Emitted list covers detections still to come,
+// used to silence the resumed stream. Over the 1,572 points after the
+// cut the valid state emits 29 detections; with such a SinceRun no hop
+// fired and only the closing Flush emitted (3), and with such an
+// Emitted list nothing was emitted. Each corrupt state must now emit
+// exactly what its nearest valid state does.
+func TestResumeCorruptCountersStillEmit(t *testing.T) {
+	vals := synth.YahooLike(41, 3072).Values
+	cfg := Config{Window: 256, Hop: 32}
+	half := New(cfg)
+	for _, v := range vals[:1500] {
+		half.Push(v)
+	}
+	valid := half.State()
+	tail := func(st State) []Detection {
+		d := Resume(cfg, st)
+		var out []Detection
+		for _, v := range vals[1500:] {
+			out = append(out, d.Push(v)...)
+		}
+		return append(out, d.Flush()...)
+	}
+	ahead := append([]int(nil), valid.Emitted...)
+	for i := 0; i < 5000; i++ {
+		ahead = append(ahead, valid.Total+i)
+	}
+	cases := []struct {
+		name             string
+		corrupt, nearest func(*State)
+	}{
+		{"negative since-run",
+			func(st *State) { st.SinceRun = math.MinInt64 / 2 },
+			func(st *State) { st.SinceRun = 0 }},
+		{"since-run overflowing at the next push",
+			func(st *State) { st.SinceRun = math.MaxInt },
+			func(st *State) { st.SinceRun = cfg.Hop }},
+		{"emitted ahead of the window",
+			func(st *State) { st.Emitted = ahead },
+			func(*State) {}},
+	}
+	for _, tc := range cases {
+		bad, near := valid, valid
+		tc.corrupt(&bad)
+		tc.nearest(&near)
+		want := tail(near)
+		if len(want) == 0 {
+			t.Fatalf("%s: the valid state emits nothing, so the case proves nothing", tc.name)
+		}
+		if got := tail(bad); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d detections after the cut, want the valid state's %d", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// TestResumeKeepsValidState: Resume leaves every valid state as it is,
+// from warm-up (SinceRun above Hop while the window half-fills) through
+// the steady state.
+func TestResumeKeepsValidState(t *testing.T) {
+	vals := synth.YahooLike(41, 700).Values
+	for _, cfg := range []Config{streamCfg(), {Window: 256, Hop: 300}} {
+		d := New(cfg)
+		for i, v := range vals {
+			d.Push(v)
+			if i%37 != 0 {
+				continue
+			}
+			st := d.State()
+			if got := Resume(cfg, st).State(); !reflect.DeepEqual(got, st) {
+				t.Fatalf("window %d hop %d, after %d pushes: resumed state %+v, want %+v", cfg.Window, cfg.Hop, i+1, got, st)
+			}
+		}
+	}
+}

@@ -178,27 +178,37 @@ func (d *Detector) State() State {
 // A restored window is input like any other, so each value must pass the
 // test Push applies. A value that fails is replaced by the nearest good
 // value before it, or after it when it leads the window, and is counted
-// in Bad; positions, Start, Total and the emitted indices stay as they
-// were. A window with no good value is dropped, and Start moves past it.
-// A LastGood that fails the test is forgotten.
+// in Bad; positions, Start and Total stay as they were. A window with no
+// good value is dropped, and Start moves past it. A LastGood that fails
+// the test is forgotten.
+//
+// A corrupt checkpoint must not silence the stream either. SinceRun is
+// held to [0, max(Hop, Window)]: every count at or above Hop fires the
+// next analyzing Push alike, so the upper bound moves no hop, while a
+// negative count, or one that overflows at the next Push, would never
+// reach Hop. Emitted indices outside the restored window are dropped;
+// one ahead of it would suppress that future detection.
 func Resume(cfg Config, st State) *Detector {
 	d := New(cfg)
 	d.buf = append(d.buf, st.Window...)
 	d.start = st.Start
 	d.total = st.Total
-	d.sinceRun = st.SinceRun
+	d.sinceRun = min(max(st.SinceRun, 0), max(d.cfg.Hop, d.cfg.Window))
 	d.bad = st.Bad
 	if st.HasGood && sanitize.Finite(st.LastGood, sanitize.DefaultMaxAbs) {
 		d.lastGood, d.hasGood = st.LastGood, true
-	}
-	for _, idx := range st.Emitted {
-		d.emitted[idx] = true
 	}
 	if bad := repairWindow(d.buf); bad > 0 {
 		d.bad += bad
 		if bad == len(d.buf) {
 			d.start += len(d.buf)
 			d.buf = d.buf[:0]
+		}
+	}
+	for _, idx := range st.Emitted {
+		// 0 <= idx-start < len(buf), exact even where idx-start overflows.
+		if uint(idx-d.start) < uint(len(d.buf)) {
+			d.emitted[idx] = true
 		}
 	}
 	return d
