@@ -114,10 +114,10 @@ func floatsToBytes(vals []float64) []byte {
 // FuzzResumeStream restores a fuzzed StreamState, then pushes and
 // flushes: a restored state is hostile input like any pushed value. The
 // window arrives as raw float bits and Emitted as 8-byte integers. The
-// contract: no panic, and the stream then behaves like a valid one,
-// emitting each index at most once and only inside the restored window
-// or after it (offsets from the restored Start are exact even where the
-// indices overflow).
+// contract: no panic, the restored state is one a live stream could
+// hold (0 <= Start and Start + len(Window) == Total), and the stream
+// then behaves like a valid one, emitting each index at most once, never
+// a negative one, and only inside the restored window or after it.
 func FuzzResumeStream(f *testing.F) {
 	cfg := StreamConfig{Window: 64, Hop: 16}
 	live := NewStream(cfg)
@@ -150,12 +150,18 @@ func FuzzResumeStream(f *testing.F) {
 		}
 		d := ResumeStream(cfg, st)
 		restored := d.State()
+		if restored.Start < 0 || restored.Start+len(restored.Window) != restored.Total {
+			t.Fatalf("restored start %d, window %d, total %d", restored.Start, len(restored.Window), restored.Total)
+		}
 		total0 := d.Total()
 		seen := map[int]bool{}
 		check := func(dets []StreamDetection) {
 			span := len(restored.Window) + d.Total() - total0
 			for _, det := range dets {
-				if off := uint(det.Index - restored.Start); off >= uint(span) {
+				if det.Index < 0 {
+					t.Fatalf("negative index %d (start %d)", det.Index, restored.Start)
+				}
+				if off := det.Index - restored.Start; off < 0 || off >= span {
 					t.Fatalf("detection %d outside the restored window and the %d values pushed after it (start %d)",
 						det.Index, d.Total()-total0, restored.Start)
 				}

@@ -31,7 +31,7 @@ func noSleep(ctx context.Context, d time.Duration) error {
 }
 
 // baseConfig returns a runnable config over fresh temp dirs.
-func baseConfig(t *testing.T, serverURL string) Config {
+func baseConfig(t testing.TB, serverURL string) Config {
 	t.Helper()
 	cfg := Default()
 	cfg.Name = "a1"
@@ -438,5 +438,49 @@ func TestDrainSpillsQueue(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(cfg.StateDir, "agent.json")); err != nil {
 		t.Fatalf("final checkpoint missing: %v", err)
+	}
+}
+
+// TestNegativeCheckpointOffsetRereads: a checkpoint holding a negative
+// source offset used to fail every poll's seek, after which the poll
+// skipped the source and the checkpoint wrote the bad offset back, so
+// the source never produced a stream. The poll now re-reads the file
+// from the top and checkpoints the valid offset.
+func TestNegativeCheckpointOffsetRereads(t *testing.T) {
+	ts := httptest.NewServer(&ingestSink{})
+	defer ts.Close()
+	cfg := baseConfig(t, ts.URL)
+	path := filepath.Join(cfg.SourceDir, "cpu.csv")
+	vals := synth.YahooLike(9, 600).Values
+	appendCSV(t, path, vals)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := json.Marshal(checkpoint{Offsets: map[string]int64{path: -5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(cfg.StateDir, "agent.json"), string(cp))
+
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PollOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if off := a.offsets[path]; off != info.Size() {
+		t.Fatalf("offset after the poll = %d, want the file size %d", off, info.Size())
+	}
+	if det := a.streams["cpu"]; det == nil || det.Total() != len(vals) {
+		t.Fatalf("stream = %v, want one that read all %d values", det, len(vals))
+	}
+	again, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := again.offsets[path]; off != info.Size() {
+		t.Fatalf("checkpointed offset = %d, want %d", off, info.Size())
 	}
 }

@@ -48,10 +48,10 @@ func streamName(path string) string {
 // readNewValues reads the complete lines of path past offset off and
 // parses them as observations, returning the values and the new offset
 // (which stops before any trailing partial line). A file shorter than
-// the checkpointed offset was rotated or truncated: the offset resets
-// and the file is re-read from the top — redelivered detections
-// deduplicate server-side, which is exactly what the idempotency keys
-// are for.
+// the checkpointed offset was rotated or truncated, and a negative
+// offset is corrupt: either way the offset resets and the file is
+// re-read from the top — redelivered detections deduplicate
+// server-side, which is exactly what the idempotency keys are for.
 func readNewValues(path string, off int64) (vals []float64, newOff int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -62,8 +62,8 @@ func readNewValues(path string, off int64) (vals []float64, newOff int64, err er
 	if err != nil {
 		return nil, off, err
 	}
-	if info.Size() < off {
-		off = 0 // rotation/truncation: start over
+	if off < 0 || info.Size() < off {
+		off = 0 // corrupt offset, or rotation/truncation: start over
 	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, off, err

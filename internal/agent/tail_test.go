@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func writeFile(t *testing.T, path, content string) {
+func writeFile(t testing.TB, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
@@ -63,17 +63,20 @@ func TestReadNewValuesNDJSON(t *testing.T) {
 }
 
 // TestReadNewValuesRotation: a file shorter than the checkpointed
-// offset was rotated — reading restarts from the top.
+// offset was rotated, and a negative offset is corrupt — either way
+// reading restarts from the top.
 func TestReadNewValuesRotation(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "cpu.csv")
 	writeFile(t, p, "5\n6\n")
-	vals, _, err := readNewValues(p, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals, []float64{5, 6}) {
-		t.Fatalf("rotated vals = %v, want re-read from the top", vals)
+	for _, from := range []int64{1000, -5} {
+		vals, off, err := readNewValues(p, from)
+		if err != nil {
+			t.Fatalf("offset %d: %v", from, err)
+		}
+		if !reflect.DeepEqual(vals, []float64{5, 6}) || off != 4 {
+			t.Fatalf("offset %d: vals = %v, new offset %d; want [5 6] re-read from the top, offset 4", from, vals, off)
+		}
 	}
 }
 

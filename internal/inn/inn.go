@@ -54,8 +54,8 @@ const DefaultRangeFrac = 0.05
 // index answers the two primitive queries every INN strategy reduces to,
 // over the point set identified by indices 0..Len()-1 and the documented
 // (distance, index) neighbor order. Rank counting and k-NN sets are
-// functions of the points and the metric, not of the tree, so the 2-D
-// and N-D indexes below answer identically for the same logical points.
+// functions of the points and the metric, not of the tree, so 2-D points
+// and the same points as rows answer identically.
 type index interface {
 	// Len returns the number of indexed points.
 	Len() int
@@ -69,37 +69,22 @@ type index interface {
 	KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 }
 
-// staticIndex is the univariate index: a 2-D KD-tree over the
-// (standardized index, standardized value) embedding.
-type staticIndex struct {
-	pts  [][2]float64
-	tree *kdtree.KD
+// treeIndex is the index over a KD-tree of embedded points: the 2-D
+// (standardized index, standardized value) points of a univariate
+// series, or the (standardized index, standardized value_1, ...,
+// standardized value_d) rows of a multivariate one.
+type treeIndex[P kdtree.Point] struct {
+	pts  []P
+	tree *kdtree.Tree[P]
 }
 
-func (s *staticIndex) Len() int { return len(s.pts) }
+func (s *treeIndex[P]) Len() int { return len(s.pts) }
 
-func (s *staticIndex) RankAtMost(i, j, limit int) int {
+func (s *treeIndex[P]) RankAtMost(i, j, limit int) int {
 	return s.tree.RankAtMost(s.pts[i], kdtree.Dist(s.pts[i], s.pts[j]), j, i, limit)
 }
 
-func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
-	return s.tree.KNNInto(s.pts[i], k, i, buf)
-}
-
-// ndIndex is the multivariate index: an N-D KD-tree over (standardized
-// index, standardized value_1, ..., standardized value_d) rows.
-type ndIndex struct {
-	pts  [][]float64
-	tree *kdtree.ND
-}
-
-func (s *ndIndex) Len() int { return len(s.pts) }
-
-func (s *ndIndex) RankAtMost(i, j, limit int) int {
-	return s.tree.RankAtMost(s.pts[i], kdtree.DistN(s.pts[i], s.pts[j]), j, i, limit)
-}
-
-func (s *ndIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+func (s *treeIndex[P]) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
 	return s.tree.KNNInto(s.pts[i], k, i, buf)
 }
 
@@ -121,15 +106,19 @@ type Computer struct {
 
 // NewComputer indexes 2-D points (built once, queried many times).
 func NewComputer(pts [][2]float64) *Computer {
-	return newComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
+	return newComputer(pts)
 }
 
-// NewNComputer indexes d-dimensional points (rows of equal length) for
-// the multivariate extension. The neighborhood semantics — per-offset
-// mutual rank bound, 5% search-range prune, contiguous runs — and the
-// probe engine are those of the 2-D case.
+// NewNComputer indexes rows of two or more coordinates, all of one
+// length, for the multivariate extension. The neighborhood semantics —
+// per-offset mutual rank bound, 5% search-range prune, contiguous runs —
+// and the probe engine are those of the 2-D case.
 func NewNComputer(pts [][]float64) *Computer {
-	return newComputerOver(&ndIndex{pts: pts, tree: kdtree.NewND(pts)})
+	return newComputer(pts)
+}
+
+func newComputer[P kdtree.Point](pts []P) *Computer {
+	return newComputerOver(&treeIndex[P]{pts: pts, tree: kdtree.New(pts)})
 }
 
 func newComputerOver(idx index) *Computer {

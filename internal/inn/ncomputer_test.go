@@ -9,7 +9,7 @@ import (
 )
 
 // nFromSeries builds equivalent Computers over the same series, one on
-// the N-D index and one on the 2-D index, for differential testing.
+// the points as rows and one on the 2-D points, for differential testing.
 func nFromSeries(s *series.Series) (*Computer, *Computer) {
 	pts2 := s.Points()
 	ptsN := make([][]float64, len(pts2))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cabd/internal/series"
+	"cabd/internal/stats"
 	"cabd/internal/synth"
 )
 
@@ -229,11 +230,11 @@ func TestDetectFixtureEngineIdentical(t *testing.T) {
 	}
 }
 
-// innBenchComputer builds the shared fixture for the probe-engine
-// benchmarks: a 2k-point noisy series with a few collective anomalies, so
+// innBenchValues is the shared fixture for the probe-engine benchmarks:
+// a 2k-point noisy series with a few collective anomalies, so
 // neighborhoods have realistic structure (the Fig. 11 anchor size).
-func innBenchComputer() (*Computer, int) {
-	rng := rand.New(rand.NewSource(7))
+func innBenchValues(seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
 	vals := make([]float64, 2000)
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
@@ -243,16 +244,48 @@ func innBenchComputer() (*Computer, int) {
 			vals[at+j] += 40
 		}
 	}
-	c := FromSeries(series.New("bench", vals))
-	return c, c.RangeLimit(0)
+	return vals
 }
 
-// benchINNEngines runs one neighborhood strategy under the legacy
-// (full-k-NN-probe) engine, the rank-query engine, and the rank engine
-// with the measurement-only memo — the old-vs-new comparison backing the
-// engine swap.
-func benchINNEngines(b *testing.B, call func(c *Computer, i, tlim int) []int) {
-	base, tlim := innBenchComputer()
+// innBenchComputer indexes the 2-D embedding of the benchmark fixture.
+func innBenchComputer() *Computer {
+	return FromSeries(series.New("bench", innBenchValues(7)))
+}
+
+// ndBenchComputer indexes the multivariate detector's embedding of three
+// such channels (seeds 7, 8, 9): rows of (standardized index,
+// standardized value_1..value_3) carved from one backing array.
+func ndBenchComputer() *Computer {
+	const d = 3
+	chans := make([][]float64, d)
+	for k := range chans {
+		chans[k] = stats.Standardize(innBenchValues(int64(7 + k)))
+	}
+	n := len(chans[0])
+	idx := make([]float64, n)
+	for i := range idx {
+		idx[i] = float64(i)
+	}
+	sidx := stats.Standardize(idx)
+	flat := make([]float64, n*(1+d))
+	rows := make([][]float64, n)
+	for i := range rows {
+		row := flat[i*(1+d) : (i+1)*(1+d)]
+		row[0] = sidx[i]
+		for k, ch := range chans {
+			row[1+k] = ch[i]
+		}
+		rows[i] = row
+	}
+	return NewNComputer(rows)
+}
+
+// benchINNEngines runs one neighborhood strategy over base under the
+// legacy (full-k-NN-probe) engine, the rank-query engine, and the rank
+// engine with the measurement-only memo — the old-vs-new comparison
+// backing the engine swap.
+func benchINNEngines(b *testing.B, base *Computer, call func(c *Computer, i, tlim int) []int) {
+	tlim := base.RangeLimit(0)
 	engines := []struct {
 		name string
 		c    *Computer
@@ -273,13 +306,19 @@ func benchINNEngines(b *testing.B, call func(c *Computer, i, tlim int) []int) {
 }
 
 func BenchmarkINNBinary(b *testing.B) {
-	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.Binary(i, tlim) })
+	benchINNEngines(b, innBenchComputer(), func(c *Computer, i, tlim int) []int { return c.Binary(i, tlim) })
+}
+
+// BenchmarkINNBinaryND is BenchmarkINNBinary over the multivariate
+// embedding at d = 3: the same probes on rows of four coordinates.
+func BenchmarkINNBinaryND(b *testing.B) {
+	benchINNEngines(b, ndBenchComputer(), func(c *Computer, i, tlim int) []int { return c.Binary(i, tlim) })
 }
 
 func BenchmarkINNMinimal(b *testing.B) {
-	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.Minimal(i, tlim) })
+	benchINNEngines(b, innBenchComputer(), func(c *Computer, i, tlim int) []int { return c.Minimal(i, tlim) })
 }
 
 func BenchmarkINNMutualSet(b *testing.B) {
-	benchINNEngines(b, func(c *Computer, i, tlim int) []int { return c.MutualSet(i, tlim) })
+	benchINNEngines(b, innBenchComputer(), func(c *Computer, i, tlim int) []int { return c.MutualSet(i, tlim) })
 }

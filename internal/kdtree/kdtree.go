@@ -1,11 +1,11 @@
-// Package kdtree implements static KD-trees with k-nearest-neighbor and
-// rank queries: a flat 2-D tree for univariate series and an N-D tree for
-// the multivariate extension. The paper's runtime evaluation (Section
-// V-D) uses a KD-tree to accelerate neighbor search for the INN
-// computation; this package is that substrate. 2-D points are
-// (standardized index, standardized value), N-D points append one
-// standardized value per channel, and every point carries its original
-// series index as payload.
+// Package kdtree implements a static KD-tree with k-nearest-neighbor and
+// rank queries. The paper's runtime evaluation (Section V-D) uses a
+// KD-tree to accelerate neighbor search for the INN computation; this
+// package is that substrate. One tree serves both embeddings: 2-D points
+// (standardized index, standardized value) of a univariate series, and
+// rows that append one standardized value per channel for the
+// multivariate extension. Every point carries its original series index
+// as payload.
 //
 // All queries order neighbors by (distance, original index): among
 // equidistant points the smaller index ranks first. That tie-break is not
@@ -15,56 +15,68 @@
 //
 // Traversals are iterative (an explicit stack bounded by the balanced
 // tree's height) and allocation-free when the caller supplies buffers:
-// KNNInto reuses caller storage, and Rank / RankAtMost count in a bare
-// tree walk with no candidate list at all.
+// KNNInto reuses caller storage, and RankAtMost counts in a bare tree
+// walk with no candidate list at all.
 package kdtree
 
 import "math"
 
-// New builds a KD-tree over pts. The original position of each point in
-// pts is retained and returned by queries. Building is O(n log n) via
-// median quickselect per level (expected linear per level, no full sort).
-//
-// The tree is implicit: one item array, partitioned in place so that the
-// node of the span [lo, hi) sits at items[lo+(hi-lo)/2], its left subtree
-// is [lo, mid) and its right subtree [mid+1, hi). A span at depth d splits
-// on axis d&1. A build allocates the array and the handle, nothing per
-// point.
-func New(pts [][2]float64) *KD {
-	if len(pts) > math.MaxInt32 {
-		panic("kdtree: more than math.MaxInt32 points")
-	}
-	items := make([]item, len(pts))
-	for i, p := range pts {
-		items[i] = item{p: p, i: i}
-	}
-	build(items, 0)
-	return &KD{items: items}
+// Point is the coordinate type a Tree indexes: a 2-D point, or a row of
+// two or more coordinates. The tree is generic rather than written over
+// rows so that the 2-D instantiation compiles to fixed-size arithmetic.
+type Point interface{ [2]float64 | []float64 }
+
+// Tree is a static KD-tree over points of type P.
+type Tree[P Point] struct {
+	items []item[P]
 }
 
-// KD is the public tree handle.
-type KD struct {
-	items []item
-}
-
-// Len returns the number of indexed points.
-func (t *KD) Len() int { return len(t.items) }
-
-type item struct {
-	p [2]float64
+type item[P Point] struct {
+	p P
 	i int
 }
 
+// New builds a KD-tree over pts. The original position of each point in
+// pts is retained and returned by queries. Building is O(n log n) via
+// median quickselect per level (expected linear per level, no full sort).
+// Every point needs at least two coordinates, and all points one count;
+// New panics otherwise, and above math.MaxInt32 points.
+//
+// The tree is implicit: one item array, partitioned in place so that the
+// node of the span [lo, hi) sits at items[lo+(hi-lo)/2], its left subtree
+// is [lo, mid) and its right subtree [mid+1, hi). The root splits on
+// coordinate 0 and each level on the next coordinate, wrapping around.
+// A build allocates the array and the handle, nothing per point.
+func New[P Point](pts []P) *Tree[P] {
+	if len(pts) > math.MaxInt32 {
+		panic("kdtree: more than math.MaxInt32 points")
+	}
+	items := make([]item[P], len(pts))
+	for i, p := range pts {
+		if len(p) < 2 || len(p) != len(pts[0]) {
+			panic("kdtree: points need two or more coordinates, the same count each")
+		}
+		items[i] = item[P]{p: p, i: i}
+	}
+	build(items, 0)
+	return &Tree[P]{items: items}
+}
+
+// Len returns the number of indexed points.
+func (t *Tree[P]) Len() int { return len(t.items) }
+
 // build arranges items into the implicit layout: the median of the span
-// on axis depth&1 moves to the span's middle slot, then each half is
-// built one level deeper.
-func build(items []item, depth int) {
+// on the given axis moves to the span's middle slot, then each half is
+// built on the next axis.
+func build[P Point](items []item[P], axis int) {
 	for len(items) > 1 {
 		mid := len(items) / 2
-		medianSelect(items, mid, depth&1)
-		build(items[:mid], depth+1)
+		medianSelect(items, mid, axis)
+		if axis++; axis == len(items[mid].p) {
+			axis = 0
+		}
+		build(items[:mid], axis)
 		items = items[mid+1:]
-		depth++
 	}
 }
 
@@ -74,7 +86,7 @@ func build(items []item, depth int) {
 // quickselect with a median-of-three pivot: expected O(n), robust against
 // the sorted index axis and against duplicate-heavy value axes (flat
 // series), both of which are quadratic for naive pivots.
-func medianSelect(items []item, k, axis int) {
+func medianSelect[P Point](items []item[P], k, axis int) {
 	lo, hi := 0, len(items)-1
 	for lo < hi {
 		// Median-of-three of (lo, mid, hi), moved to lo as the pivot.
@@ -177,25 +189,22 @@ func ascendingSort(h []Neighbor) {
 	}
 }
 
-// maxStack bounds the explicit traversal stack of the ND tree. Its median
-// splits keep the height at ceil(log2(n+1)); 64 covers any addressable
-// point count.
-const maxStack = 64
-
-// maxSpans bounds a KD walk's span stack. Pending spans lie at distinct
+// maxSpans bounds a walk's span stack. Pending spans lie at distinct
 // depths below the root, and New admits at most math.MaxInt32 points, so
 // at most 30 are ever pending.
 const maxSpans = 32
 
-// span is a pending subtree of the implicit layout: items[lo:hi] at the
-// given depth.
+// span is a pending subtree of the implicit layout: items[lo:hi], whose
+// node splits on coordinate axis. Walks carry the axis instead of the
+// depth so that moving down a level is an increment and a compare, not
+// a division by the dimension.
 type span struct {
-	lo, hi, depth int32
+	lo, hi, axis int32
 }
 
-func newSpan(lo, hi, depth int) span { return span{int32(lo), int32(hi), int32(depth)} }
+func newSpan(lo, hi, axis int) span { return span{int32(lo), int32(hi), int32(axis)} }
 
-func (s span) unpack() (lo, hi, depth int) { return int(s.lo), int(s.hi), int(s.depth) }
+func (s span) unpack() (lo, hi, axis int) { return int(s.lo), int(s.hi), int(s.axis) }
 
 // knnSpan is a pending far subtree of a k-NN walk, with the distance from
 // the query to the split plane that separates it.
@@ -204,20 +213,17 @@ type knnSpan struct {
 	planeDist float64
 }
 
-// KNN returns the k nearest neighbors of q, sorted by increasing distance
-// with index tie-break. When skipSelf >= 0, the point with that original
-// index is excluded — queries for a point already in the tree pass its own
-// index. If fewer than k points are available the result is shorter.
-func (t *KD) KNN(q [2]float64, k int, skipSelf int) []Neighbor {
-	return t.KNNInto(q, k, skipSelf, nil)
-}
-
-// KNNInto is KNN with a caller-supplied result buffer: buf's storage is
-// reused when its capacity suffices, so steady-state queries allocate
-// nothing. The returned slice aliases buf.
+// KNNInto returns the k nearest neighbors of q, sorted by increasing
+// distance with index tie-break. When skipSelf >= 0, the point with that
+// original index is excluded — queries for a point already in the tree
+// pass its own index. If fewer than k points are available the result is
+// shorter. q has the indexed points' coordinate count.
+//
+// buf's storage is reused when its capacity suffices, so steady-state
+// queries allocate nothing; the returned slice aliases buf.
 //
 //cabd:hotpath
-func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
+func (t *Tree[P]) KNNInto(q P, k, skipSelf int, buf []Neighbor) []Neighbor {
 	items := t.items
 	if k <= 0 || len(items) == 0 {
 		return nil
@@ -232,7 +238,7 @@ func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
 	}
 	var stack [maxSpans]knnSpan
 	top := 0
-	lo, hi, depth := 0, len(items), 0
+	lo, hi, axis := 0, len(items), 0
 	for {
 		for lo >= hi {
 			if top == 0 {
@@ -247,7 +253,7 @@ func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
 			if len(h) == k && f.planeDist > h[0].Dist {
 				continue
 			}
-			lo, hi, depth = f.unpack()
+			lo, hi, axis = f.unpack()
 		}
 		mid := int(uint(lo+hi) >> 1)
 		it := &items[mid]
@@ -264,40 +270,38 @@ func (t *KD) KNNInto(q [2]float64, k, skipSelf int, buf []Neighbor) []Neighbor {
 				siftDown(h, 0)
 			}
 		}
-		axis := depth & 1
 		diff := q[axis] - it.p[axis]
-		depth++
+		if axis++; axis == len(q) {
+			axis = 0
+		}
 		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
 		if flo < fhi {
-			stack[top] = knnSpan{newSpan(flo, fhi, depth), math.Abs(diff)}
+			stack[top] = knnSpan{newSpan(flo, fhi, axis), math.Abs(diff)}
 			top++
 		}
 		lo, hi = nlo, nhi
 	}
 }
 
-// Rank returns how many indexed points (excluding skipSelf and the ranked
-// point itself) order strictly ahead of a point at distance d with
-// original index tieIndex under the (distance, index) neighbor order of
-// query q. For a point j in the tree with d = dist(q_i, p_j), tieIndex =
-// j, skipSelf = i, the result r satisfies: j is among the k nearest
-// neighbors of i iff r < k. The walk counts in place — no heap, no
-// allocation.
-func (t *KD) Rank(q [2]float64, d float64, tieIndex, skipSelf int) int {
-	return t.RankAtMost(q, d, tieIndex, skipSelf, len(t.items))
-}
-
-// RankAtMost is Rank with an early exit: the walk stops as soon as the
-// count reaches limit, so the return value is min(rank, limit). A top-k
-// membership probe only needs to distinguish rank < k from rank >= k, and
-// aborting at k bounds the work of a failing probe by the k points it
-// finds instead of the full ball of radius d. When the returned value is
+// RankAtMost returns min(rank, limit), where rank is the number of
+// indexed points (excluding skipSelf and the ranked point itself) that
+// order strictly ahead of a point at distance d with original index
+// tieIndex under the (distance, index) neighbor order of query q. For a
+// point j in the tree with d = Dist(q_i, p_j), tieIndex = j and
+// skipSelf = i, j is among the k nearest neighbors of i iff the rank is
+// below k; limit = Len() returns the exact rank. The walk counts in
+// place — no heap, no allocation.
+//
+// The walk stops as soon as the count reaches limit: a top-k membership
+// probe only needs to distinguish rank < k from rank >= k, and aborting
+// at k bounds the work of a failing probe by the k points it finds
+// instead of the full ball of radius d. When the returned value is
 // strictly below limit the walk ran to completion and the result is the
-// exact rank. The near child is visited before the far child so the count
-// fills from the dense side out and the exit triggers early.
+// exact rank. The near child is visited before the far child so the
+// count fills from the dense side out and the exit triggers early.
 //
 //cabd:hotpath
-func (t *KD) RankAtMost(q [2]float64, d float64, tieIndex, skipSelf, limit int) int {
+func (t *Tree[P]) RankAtMost(q P, d float64, tieIndex, skipSelf, limit int) int {
 	if limit <= 0 {
 		return 0
 	}
@@ -305,14 +309,14 @@ func (t *KD) RankAtMost(q [2]float64, d float64, tieIndex, skipSelf, limit int) 
 	count := 0
 	var stack [maxSpans]span
 	top := 0
-	lo, hi, depth := 0, len(items), 0
+	lo, hi, axis := 0, len(items), 0
 	for {
 		if lo >= hi {
 			if top == 0 {
 				return count
 			}
 			top--
-			lo, hi, depth = stack[top].unpack()
+			lo, hi, axis = stack[top].unpack()
 		}
 		mid := int(uint(lo+hi) >> 1)
 		it := &items[mid]
@@ -326,14 +330,15 @@ func (t *KD) RankAtMost(q [2]float64, d float64, tieIndex, skipSelf, limit int) 
 				}
 			}
 		}
-		axis := depth & 1
 		diff := q[axis] - it.p[axis]
-		depth++
+		if axis++; axis == len(q) {
+			axis = 0
+		}
 		nlo, nhi, flo, fhi := children(lo, mid, hi, diff)
 		// A far-side point is at least |diff| away; it can only tie or
 		// beat distance d when |diff| <= d.
 		if flo < fhi && math.Abs(diff) <= d {
-			stack[top] = newSpan(flo, fhi, depth)
+			stack[top] = newSpan(flo, fhi, axis)
 			top++
 		}
 		lo, hi = nlo, nhi
@@ -350,13 +355,22 @@ func children(lo, mid, hi int, diff float64) (nearLo, nearHi, farLo, farHi int) 
 	return lo, mid, mid + 1, hi
 }
 
-// Dist returns the Euclidean distance between two embedded points — the
-// exact metric every query in this package uses, exported so rank callers
-// compute bit-identical thresholds.
-func Dist(p, q [2]float64) float64 { return dist(p, q) }
+// Dist returns the Euclidean distance between two points of one
+// coordinate count — the exact metric every query in this package uses,
+// exported so rank callers compute bit-identical thresholds.
+func Dist[P Point](p, q P) float64 { return dist(p, q) }
 
-func dist(p, q [2]float64) float64 {
-	dx := p[0] - q[0]
-	dy := p[1] - q[1]
-	return math.Sqrt(dx*dx + dy*dy)
+// dist sums the first two squared differences in one expression and
+// adds the rest one by one: the 2-D instantiation compiles to the fixed
+// dx*dx + dy*dy with the loop gone, and a running sum from zero gives
+// the same bits because its first step, 0 + d0*d0, is exact.
+func dist[P Point](p, q P) float64 {
+	d0 := p[0] - q[0]
+	d1 := p[1] - q[1]
+	s := d0*d0 + d1*d1
+	for i := 2; i < len(p); i++ {
+		d := p[i] - q[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // bruteKNN is the reference implementation used for differential testing.
-func bruteKNN(pts [][2]float64, q [2]float64, k, skipSelf int) []Neighbor {
+func bruteKNN[P Point](pts []P, q P, k, skipSelf int) []Neighbor {
 	var all []Neighbor
 	for i, p := range pts {
 		if i == skipSelf {
@@ -32,6 +32,19 @@ func randomPoints(rng *rand.Rand, n int) [][2]float64 {
 	pts := make([][2]float64, n)
 	for i := range pts {
 		pts[i] = [2]float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10}
+	}
+	return pts
+}
+
+// randomRows draws n rows of dim coordinates.
+func randomRows(rng *rand.Rand, n, dim int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		row := make([]float64, dim)
+		for j := range row {
+			row[j] = rng.NormFloat64() * 5
+		}
+		pts[i] = row
 	}
 	return pts
 }
@@ -67,7 +80,7 @@ func bruteRank(pts [][2]float64, q [2]float64, j, skip int) int {
 func TestKNNSimple(t *testing.T) {
 	pts := [][2]float64{{0, 0}, {1, 0}, {2, 0}, {10, 0}}
 	tr := New(pts)
-	nn := tr.KNN([2]float64{0.1, 0}, 2, -1)
+	nn := tr.KNNInto([2]float64{0.1, 0}, 2, -1, nil)
 	if len(nn) != 2 || nn[0].Index != 0 || nn[1].Index != 1 {
 		t.Errorf("KNN = %+v", nn)
 	}
@@ -76,7 +89,7 @@ func TestKNNSimple(t *testing.T) {
 func TestKNNSkipSelf(t *testing.T) {
 	pts := [][2]float64{{0, 0}, {1, 0}, {2, 0}}
 	tr := New(pts)
-	nn := tr.KNN(pts[0], 1, 0)
+	nn := tr.KNNInto(pts[0], 1, 0, nil)
 	if len(nn) != 1 || nn[0].Index != 1 {
 		t.Errorf("skip-self KNN = %+v", nn)
 	}
@@ -85,24 +98,24 @@ func TestKNNSkipSelf(t *testing.T) {
 func TestKNNFewerThanK(t *testing.T) {
 	pts := [][2]float64{{0, 0}, {1, 1}}
 	tr := New(pts)
-	nn := tr.KNN([2]float64{0, 0}, 10, -1)
+	nn := tr.KNNInto([2]float64{0, 0}, 10, -1, nil)
 	if len(nn) != 2 {
 		t.Errorf("expected all points, got %d", len(nn))
 	}
-	if got := tr.KNN([2]float64{0, 0}, 0, -1); got != nil {
+	if got := tr.KNNInto([2]float64{0, 0}, 0, -1, nil); got != nil {
 		t.Errorf("k=0 should return nil, got %v", got)
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(nil)
+	tr := New[[2]float64](nil)
 	if tr.Len() != 0 {
 		t.Error("empty tree length")
 	}
-	if got := tr.KNN([2]float64{0, 0}, 3, -1); got != nil {
+	if got := tr.KNNInto([2]float64{0, 0}, 3, -1, nil); got != nil {
 		t.Errorf("empty tree KNN = %v", got)
 	}
-	if got := tr.Rank([2]float64{0, 0}, 5, 0, -1); got != 0 {
+	if got := tr.RankAtMost([2]float64{0, 0}, 5, 0, -1, tr.Len()); got != 0 {
 		t.Errorf("empty tree Rank = %d", got)
 	}
 }
@@ -166,7 +179,7 @@ func TestKNNTieBreakDuplicates(t *testing.T) {
 		}
 		tr := New(pts)
 		for k := 1; k <= len(pts); k++ {
-			got := tr.KNN([2]float64{1, 1}, k, -1)
+			got := tr.KNNInto([2]float64{1, 1}, k, -1, nil)
 			want := bruteKNN(pts, [2]float64{1, 1}, k, -1)
 			for i := range got {
 				if got[i].Index != want[i].Index {
@@ -187,7 +200,7 @@ func TestKNNAllDuplicates(t *testing.T) {
 	}
 	tr := New(pts)
 	for _, k := range []int{1, 5, 17, 40} {
-		nn := tr.KNN([2]float64{3, 3}, k, 7)
+		nn := tr.KNNInto([2]float64{3, 3}, k, 7, nil)
 		if len(nn) != min(k, 39) {
 			t.Fatalf("k=%d: got %d results", k, len(nn))
 		}
@@ -223,7 +236,7 @@ func TestRankMatchesBruteForce(t *testing.T) {
 			if i == j {
 				continue
 			}
-			got := tr.Rank(pts[i], dist(pts[i], pts[j]), j, i)
+			got := tr.RankAtMost(pts[i], dist(pts[i], pts[j]), j, i, tr.Len())
 			want := bruteRank(pts, pts[i], j, i)
 			if got != want {
 				t.Fatalf("trial %d: Rank(%d,%d) = %d, want %d (pts=%v)",
@@ -242,7 +255,7 @@ func TestRankMatchesBruteForce(t *testing.T) {
 					continue
 				}
 				inKNN := false
-				for _, nb := range tr.KNN(pts[i], k, i) {
+				for _, nb := range tr.KNNInto(pts[i], k, i, nil) {
 					if nb.Index == j {
 						inKNN = true
 					}
@@ -291,7 +304,7 @@ func TestTinyAndDuplicateMatchBruteForce(t *testing.T) {
 		for _, q := range queries {
 			for _, skip := range skips {
 				for _, k := range ks {
-					got := tr.KNN(q, k, skip)
+					got := tr.KNNInto(q, k, skip, nil)
 					var want []Neighbor
 					if k > 0 {
 						want = bruteKNN(pts, q, k, skip)
@@ -340,13 +353,37 @@ func equalNeighbors(a, b []Neighbor) bool {
 }
 
 // TestNewAllocsConstant: a build allocates the item array and the handle,
-// nothing per point.
+// nothing per point, for either point type.
 func TestNewAllocsConstant(t *testing.T) {
 	for _, n := range []int{200, 5000, 50000} {
 		pts := randomPoints(rand.New(rand.NewSource(int64(n))), n)
 		if allocs := testing.AllocsPerRun(3, func() { New(pts) }); allocs != 2 {
 			t.Errorf("n=%d: New made %v allocations, want 2", n, allocs)
 		}
+		rows := randomRows(rand.New(rand.NewSource(int64(n))), n, 4)
+		if allocs := testing.AllocsPerRun(3, func() { New(rows) }); allocs != 2 {
+			t.Errorf("n=%d: New over rows made %v allocations, want 2", n, allocs)
+		}
+	}
+}
+
+// TestNewRejectsShortRows: a row needs two coordinates (the distance
+// sums the first two before the rest), and every row the same count.
+func TestNewRejectsShortRows(t *testing.T) {
+	for name, rows := range map[string][][]float64{
+		"one coordinate": {{1}, {2}},
+		"empty row":      {{}},
+		"ragged":         {{1, 2, 3}, {1, 2}},
+		"ragged longer":  {{1, 2}, {1, 2, 3}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted %v", name, rows)
+				}
+			}()
+			New(rows)
+		}()
 	}
 }
 
@@ -354,7 +391,7 @@ func TestKNNSortedAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := randomPoints(rng, 100)
 	tr := New(pts)
-	nn := tr.KNN([2]float64{0, 0}, 20, -1)
+	nn := tr.KNNInto([2]float64{0, 0}, 20, -1, nil)
 	for i := 1; i < len(nn); i++ {
 		if nn[i].Dist < nn[i-1].Dist {
 			t.Fatalf("results not sorted: %v after %v", nn[i].Dist, nn[i-1].Dist)
@@ -365,7 +402,7 @@ func TestKNNSortedAscending(t *testing.T) {
 func TestDuplicatePoints(t *testing.T) {
 	pts := [][2]float64{{1, 1}, {1, 1}, {1, 1}, {5, 5}}
 	tr := New(pts)
-	nn := tr.KNN([2]float64{1, 1}, 3, -1)
+	nn := tr.KNNInto([2]float64{1, 1}, 3, -1, nil)
 	if len(nn) != 3 {
 		t.Fatalf("expected 3 results, got %d", len(nn))
 	}
@@ -382,7 +419,7 @@ func BenchmarkKNN(b *testing.B) {
 	tr := New(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.KNN(pts[i%len(pts)], 10, i%len(pts))
+		tr.KNNInto(pts[i%len(pts)], 10, i%len(pts), nil)
 	}
 }
 
@@ -414,3 +451,111 @@ func BenchmarkRankAtMost(b *testing.B) {
 
 // rankSink keeps the benchmarked walks live.
 var rankSink int
+
+// TestNDMatchesBruteForce is the KNN differential over rows of two to
+// eight coordinates.
+func TestNDMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dim := range []int{2, 3, 5, 8} {
+		for trial := 0; trial < 15; trial++ {
+			n := 1 + rng.Intn(150)
+			pts := randomRows(rng, n, dim)
+			tree := New(pts)
+			q := make([]float64, dim)
+			for j := range q {
+				q[j] = rng.NormFloat64() * 5
+			}
+			k := 1 + rng.Intn(10)
+			skip := -1
+			if rng.Intn(2) == 0 {
+				skip = rng.Intn(n)
+			}
+			got := tree.KNNInto(q, k, skip, nil)
+			want := bruteKNN(pts, q, k, skip)
+			if len(got) != len(want) {
+				t.Fatalf("dim %d: len %d vs %d", dim, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Index != want[i].Index || math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
+					t.Fatalf("dim %d: result[%d] = %+v, want %+v", dim, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNDTiesAndRank exercises duplicate-heavy grids: exact index order
+// under ties, and Rank agreement with brute force.
+func TestNDTiesAndRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(80)
+		dim := 2 + rng.Intn(2)
+		pts := make([][]float64, n)
+		for i := range pts {
+			row := make([]float64, dim)
+			for j := range row {
+				row[j] = float64(rng.Intn(3))
+			}
+			pts[i] = row
+		}
+		tree := New(pts)
+		i := rng.Intn(n)
+		k := 1 + rng.Intn(8)
+		got := tree.KNNInto(pts[i], k, i, nil)
+		want := bruteKNN(pts, pts[i], k, i)
+		for x := range got {
+			if got[x].Index != want[x].Index {
+				t.Fatalf("trial %d: tie order index[%d] = %d, want %d",
+					trial, x, got[x].Index, want[x].Index)
+			}
+		}
+		j := rng.Intn(n)
+		if j == i {
+			continue
+		}
+		dj := dist(pts[i], pts[j])
+		wantRank := 0
+		for m, p := range pts {
+			if m == i || m == j {
+				continue
+			}
+			if d := dist(pts[i], p); d < dj || (d == dj && m < j) {
+				wantRank++
+			}
+		}
+		if gotRank := tree.RankAtMost(pts[i], dj, j, i, tree.Len()); gotRank != wantRank {
+			t.Fatalf("trial %d: ND Rank = %d, want %d", trial, gotRank, wantRank)
+		}
+	}
+}
+
+// TestNDEmptyAndDegenerate: an empty tree of rows answers nothing, and a
+// one-row tree answers its row.
+func TestNDEmptyAndDegenerate(t *testing.T) {
+	empty := New[[]float64](nil)
+	if empty.Len() != 0 || empty.KNNInto([]float64{1}, 3, -1, nil) != nil {
+		t.Error("empty tree of rows misbehaves")
+	}
+	one := New([][]float64{{1, 2, 3}})
+	if one.Len() != 1 {
+		t.Errorf("Len = %d", one.Len())
+	}
+	if got := one.KNNInto([]float64{0, 0, 0}, 5, -1, nil); len(got) != 1 || got[0].Index != 0 {
+		t.Errorf("singleton KNN = %v", got)
+	}
+}
+
+// BenchmarkNDKNN times a 10-NN query over 10,000 rows of 4 coordinates.
+func BenchmarkNDKNN(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, 10000)
+	for i := range pts {
+		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	tree := New(pts)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.KNNInto(pts[i%len(pts)], 10, i%len(pts), nil)
+	}
+}

@@ -238,17 +238,19 @@ func topByZ(cands []core.Candidate, k int) []core.Candidate {
 	return out
 }
 
-// embed builds (standardized index, v_1..v_d) rows.
+// embed builds (standardized index, v_1..v_d) rows, carved from one
+// backing array so the embedding costs a constant number of allocations.
 func embed(std [][]float64) [][]float64 {
-	n := len(std[0])
+	n, w := len(std[0]), 1+len(std)
 	idx := make([]float64, n)
 	for i := range idx {
 		idx[i] = float64(i)
 	}
 	sidx := stats.Standardize(idx)
+	flat := make([]float64, n*w)
 	pts := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+len(std))
+	for i := range pts {
+		row := flat[i*w : (i+1)*w : (i+1)*w]
 		row[0] = sidx[i]
 		for k := range std {
 			row[k+1] = std[k][i]

@@ -255,16 +255,30 @@ func TestTopByZMatchesReference(t *testing.T) {
 
 // TestDetectAllocBudget is the allocation contract of a multivariate
 // Detect at d = 3, n = 1,200. Scoring runs through core's pooled,
-// allocation-free scorer; most of what remains is the N-D tree's
-// per-point nodes and the embedding's per-point rows. AllocsPerRun
-// measures at GOMAXPROCS 1.
+// allocation-free scorer, the KD-tree is one item array and the
+// embedding one backing array, so nothing left allocates per point.
+// AllocsPerRun measures at GOMAXPROCS 1.
 func TestDetectAllocBudget(t *testing.T) {
 	s := gen(1, 1200, 3)
 	det := NewDetector(core.Options{})
 	if res := det.Detect(s); len(res.Anomalies) == 0 {
 		t.Fatal("no anomalies detected; the budget would measure an empty run")
 	}
-	if allocs := testing.AllocsPerRun(3, func() { det.Detect(s) }); allocs > 3500 {
-		t.Errorf("Detect made %v allocations, budget 3500", allocs)
+	allocs := testing.AllocsPerRun(3, func() { det.Detect(s) })
+	t.Logf("Detect made %v allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("Detect made %v allocations, budget 1000", allocs)
+	}
+}
+
+// BenchmarkDetect times a multivariate Detect at d = 3, n = 1,200, the
+// allocation contract's shape.
+func BenchmarkDetect(b *testing.B) {
+	s := gen(1, 1200, 3)
+	det := NewDetector(core.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.Detect(s)
 	}
 }

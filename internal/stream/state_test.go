@@ -134,8 +134,10 @@ func TestResumeRepairsWindow(t *testing.T) {
 // used to silence the resumed stream. Over the 1,572 points after the
 // cut the valid state emits 29 detections; with such a SinceRun no hop
 // fired and only the closing Flush emitted (3), and with such an
-// Emitted list nothing was emitted. Each corrupt state must now emit
-// exactly what its nearest valid state does.
+// Emitted list nothing was emitted. A corrupt Start used to move every
+// emitted index: a negative one made them negative, and one near MaxInt
+// wrapped them to near MinInt. Each corrupt state must now emit exactly
+// what its nearest valid state does.
 func TestResumeCorruptCountersStillEmit(t *testing.T) {
 	vals := synth.YahooLike(41, 3072).Values
 	cfg := Config{Window: 256, Hop: 32}
@@ -169,6 +171,12 @@ func TestResumeCorruptCountersStillEmit(t *testing.T) {
 		{"emitted ahead of the window",
 			func(st *State) { st.Emitted = ahead },
 			func(*State) {}},
+		{"negative start",
+			func(st *State) { st.Start = -1_000_000 },
+			func(st *State) { st.Start, st.Total, st.Emitted = 0, len(st.Window), nil }},
+		{"start near MaxInt",
+			func(st *State) { st.Start = math.MaxInt - 100 },
+			func(st *State) { st.Start, st.Total, st.Emitted = maxStart, maxStart+len(st.Window), nil }},
 	}
 	for _, tc := range cases {
 		bad, near := valid, valid

@@ -13,6 +13,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"sort"
 	"time"
 
@@ -178,9 +179,9 @@ func (d *Detector) State() State {
 // A restored window is input like any other, so each value must pass the
 // test Push applies. A value that fails is replaced by the nearest good
 // value before it, or after it when it leads the window, and is counted
-// in Bad; positions, Start and Total stay as they were. A window with no
-// good value is dropped, and Start moves past it. A LastGood that fails
-// the test is forgotten.
+// in Bad; positions stay as they were. A window with no good value is
+// dropped, and Start moves past it. A LastGood that fails the test is
+// forgotten.
 //
 // A corrupt checkpoint must not silence the stream either. SinceRun is
 // held to [0, max(Hop, Window)]: every count at or above Hop fires the
@@ -188,11 +189,15 @@ func (d *Detector) State() State {
 // negative count, or one that overflows at the next Push, would never
 // reach Hop. Emitted indices outside the restored window are dropped;
 // one ahead of it would suppress that future detection.
+//
+// Nor may it move the indices the stream emits, which are Start plus a
+// window position. Start is held to [0, maxStart]: below it the stream
+// would emit negative indices, and near math.MaxInt they would wrap.
+// Total is Start plus the restored window's length, as in every State.
 func Resume(cfg Config, st State) *Detector {
 	d := New(cfg)
 	d.buf = append(d.buf, st.Window...)
-	d.start = st.Start
-	d.total = st.Total
+	d.start = min(max(st.Start, 0), maxStart)
 	d.sinceRun = min(max(st.SinceRun, 0), max(d.cfg.Hop, d.cfg.Window))
 	d.bad = st.Bad
 	if st.HasGood && sanitize.Finite(st.LastGood, sanitize.DefaultMaxAbs) {
@@ -205,6 +210,7 @@ func Resume(cfg Config, st State) *Detector {
 			d.buf = d.buf[:0]
 		}
 	}
+	d.total = d.start + len(d.buf)
 	for _, idx := range st.Emitted {
 		// 0 <= idx-start < len(buf), exact even where idx-start overflows.
 		if uint(idx-d.start) < uint(len(d.buf)) {
@@ -213,6 +219,11 @@ func Resume(cfg Config, st State) *Detector {
 	}
 	return d
 }
+
+// maxStart bounds a restored Start. A stream's indices grow by one per
+// accepted value, so from this bound a stream would have to accept half
+// the int range of values before an index wrapped.
+const maxStart = math.MaxInt / 2
 
 // repairWindow replaces every value of w that fails Push's test with the
 // nearest good value before it, or with the first good value when none
