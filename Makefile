@@ -81,7 +81,11 @@ check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 #     top-z guard and collective merge promise golden and oracle
 #     equality (the oracle tests live in internal/core), so untested
 #     branches there are unverified promises too.
-COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/multi:85
+#   internal/sax (95): the SAX encoders and the four-window kernel
+#     promise words byte-identical to the per-window reference.
+#   internal/stats (90): the selection median promises the sorted
+#     copy's middle, and every robust score downstream reads it.
+COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/multi:85 internal/sax:95 internal/stats:90
 cover:
 	@for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%:*}; floor=$${pf##*:}; name=$${pkg%/...}; \

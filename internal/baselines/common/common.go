@@ -64,8 +64,9 @@ func Threshold(scores []float64, contamination float64) []int {
 		return out
 	}
 	rz := stats.RobustZ(scores)
+	med := stats.Median(scores)
 	for i, z := range rz {
-		if z > 6 && scores[i] > stats.Median(scores) {
+		if z > 6 && scores[i] > med {
 			out = append(out, i)
 		}
 	}

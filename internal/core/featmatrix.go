@@ -27,11 +27,11 @@ func featWidth(channels int) int {
 }
 
 // featMatrix is the flat SoA classifier feature matrix: one
-// index-aligned []float64 per feature, filled in place by the scoreAll
-// workers (worker i writes only row i, so the fill is race-free without
-// locks). The forest trains and batch-infers directly over the columns;
-// Candidate.features stays as the row-major differential oracle. Only
-// the first `width` columns are active; matrix() exposes exactly those.
+// index-aligned []float64 per feature, filled in place by scoreAll's
+// last step, one pass over the scored candidates. The forest trains and
+// batch-infers directly over the columns; Candidate.features stays as
+// the row-major differential oracle. Only the first `width` columns are
+// active; matrix() exposes exactly those.
 type featMatrix struct {
 	cols  [maxFeatures][]float64
 	n     int

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cabd/internal/inn"
@@ -22,11 +23,16 @@ import (
 // only the Computer (which measures distances in the standardized
 // embedding) ever sees standardized data.
 type scorer struct {
-	opts    Options
-	chans   [][]float64 // one slice per channel, all of one length
-	comp    *inn.Computer
-	tlim    int            // pruned search range
-	corpora []*sax.Corpora // counted SAX words per channel and window length
+	opts  Options
+	chans [][]float64 // one slice per channel, all of one length
+	comp  *inn.Computer
+	tlim  int // pruned search range
+
+	// corpora holds the counted SAX words of each (channel, window
+	// length) pair, at slot corpusSlot(channel, length); nil where no
+	// candidate's correlation window reads that pair. buildCorpora
+	// fills it once every neighborhood, and so every window, is known.
+	corpora []*sax.Corpus
 
 	// resolved is the neighborhood strategy scoring actually ran with.
 	// scoreAll fixes it BEFORE the worker pool starts — the deadline
@@ -34,10 +40,10 @@ type scorer struct {
 	// while workers are reading it — and run() reports it on the Result.
 	resolved Strategy
 
-	// feats is the flat SoA feature matrix the scoreAll workers fill
-	// index-aligned with the candidate slice (worker scoring candidate i
-	// writes only row i). The classifier trains and batch-infers over
-	// these columns; Candidate.features stays as the row-major oracle.
+	// feats is the flat SoA feature matrix scoreAll fills index-aligned
+	// with the candidate slice once every score is known. The classifier
+	// trains and batch-infers over these columns; Candidate.features
+	// stays as the row-major oracle.
 	feats *featMatrix
 
 	// clk times the deadline pilot. It comes from the run's obs recorder
@@ -52,20 +58,28 @@ type scorer struct {
 }
 
 func newScorer(chans [][]float64, comp *inn.Computer, opts Options) *scorer {
-	corpora := make([]*sax.Corpora, len(chans))
-	for k, ch := range chans {
-		corpora[k] = sax.NewCorpora(ch, opts.SAXSegments, opts.SAXAlphabet)
-	}
 	return &scorer{
 		opts:     opts,
 		comp:     comp,
 		chans:    chans,
 		tlim:     comp.RangeLimit(opts.RangeFrac),
-		corpora:  corpora,
 		clk:      opts.Obs.Clock(),
 		resolved: opts.Strategy,
 	}
 }
+
+// The correlation window is centered on the candidate with a half-width
+// tied to the pattern size, clamped to [minHalfWidth, maxHalfWidth], so
+// no window is longer than maxWindow.
+const (
+	minHalfWidth = 3
+	maxHalfWidth = 12
+	maxWindow    = 2*maxHalfWidth + 1
+)
+
+// corpusSlot is the index in scorer.corpora of the corpus of channel k's
+// length-w windows.
+func corpusSlot(k, w int) int { return k*(maxWindow+1) + w }
 
 // neighborhood returns the INN (or KNN) members of index i under
 // strategy. The strategy travels as an argument, not scorer state, so
@@ -99,12 +113,15 @@ func hull(i int, nb []int) (lo, hi int) {
 	return lo, hi
 }
 
-// score fills in the three INN scores of candidate c (Definitions 5, 8,
-// 9; see DESIGN.md for the interpretation notes), plus the cross-channel
-// decorrelation when there are two or more channels. It runs once per
-// candidate inside the scoreAll worker pool and must not allocate: the
-// variance score views the pattern's flanks through stats.Variance2
-// instead of materializing the cut window.
+// score fills in every score of candidate c that its neighborhood
+// decides — the magnitude (Definition 5), the hull extents and
+// asymmetry, the variance (Definition 9; see DESIGN.md for the
+// interpretation notes), and the cross-channel decorrelation when there
+// are two or more channels — but not the correlation, which reads a SAX
+// corpus built only after every neighborhood is known (buildCorpora). It
+// runs once per candidate inside the scoreAll worker pool and must not
+// allocate: the variance score views the pattern's flanks through
+// stats.Variance2 instead of materializing the cut window.
 //
 //cabd:hotpath
 func (sc *scorer) score(c *Candidate, strategy Strategy) {
@@ -122,38 +139,26 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 		c.Asymmetry = float64(absInt(c.RightExtent-c.LeftExtent)) / float64(ext)
 	}
 
-	// Correlation score (Definition 8): frequency of the pattern's SAX
-	// word among all same-length windows of the channel that flagged the
-	// candidate. The window is centered on the candidate with a
-	// half-width tied to the pattern size (clamped to [3, 12]):
-	// centering guarantees the word captures the local shape transition
-	// — spike, group boundary or level shift — rather than only the flat
-	// interior of a large one-sided hull.
-	hw := ss
-	if hw < 3 {
-		hw = 3
-	}
-	if hw > 12 {
-		hw = 12
-	}
-	wlo, whi := c.Index-hw, c.Index+hw+1
-	if wlo < 0 {
-		wlo = 0
-	}
-	if whi > n {
-		whi = n
-	}
-	if wlen := whi - wlo; wlen >= 2 && wlen <= n/2 {
-		c.Correlation = sc.corpora[c.Channel].Frequency(wlo, whi)
-	} else {
-		// Degenerate or series-scale windows occur everywhere.
-		c.Correlation = 1
-	}
-
 	c.Variance = sc.variance(lo, hi, ss)
 	if len(sc.chans) >= 2 {
 		c.XCorr = sc.xcorr(c.Index, ss)
 	}
+}
+
+// corrWindow returns the window [lo, hi) of the correlation score
+// (Definition 8): the frequency of the pattern's SAX word among all
+// same-length windows of the channel that flagged candidate c. The
+// window is centered on the candidate with a half-width tied to the
+// pattern size: centering guarantees the word captures the local shape
+// transition — spike, group boundary or level shift — rather than only
+// the flat interior of a large one-sided hull. ok is false for a
+// degenerate or series-scale window, which occurs everywhere and scores
+// 1.
+func (sc *scorer) corrWindow(c *Candidate) (lo, hi int, ok bool) {
+	n := len(sc.chans[0])
+	hw := min(max(len(c.INN), minHalfWidth), maxHalfWidth)
+	lo, hi = max(c.Index-hw, 0), min(c.Index+hw+1, n)
+	return lo, hi, hi-lo >= 2 && hi-lo <= n/2
 }
 
 // variance is the variance score (Definition 9, oriented as in
@@ -248,43 +253,66 @@ func (sc *scorer) xcorr(index, ss int) float64 {
 	return x
 }
 
-// scoreAll computes the metric for every candidate in parallel (the
-// paper's Algorithm 3 computes the scores concurrently), checking ctx
-// between candidates so cancellation propagates promptly.
+// scoreAll computes the metric for every candidate (the paper's
+// Algorithm 3 computes the scores concurrently) in three steps:
+//
+//  1. a worker pool scores each candidate's neighborhood (score);
+//  2. the same pool builds the SAX corpora the candidates' correlation
+//     windows read, one per distinct (channel, window length) pair
+//     (buildCorpora);
+//  3. one pass reads each candidate's correlation from its corpus and
+//     fills its feature row.
+//
+// No worker waits on another: step 1 reads no corpus, and step 2 builds
+// each corpus exactly once. ctx is checked between candidates and
+// between corpora, so cancellation propagates promptly.
 //
 // Graceful degradation 2: when ctx carries a deadline, a small pilot
-// batch is scored first with the configured strategy and its measured
-// per-candidate cost projected over the rest; if the projection eats
+// batch runs step 1 first with the configured strategy and its measured
+// per-candidate cost is projected over the rest; if the projection eats
 // more than half the remaining budget, scoring downgrades to the cheap
-// FixedKNN neighborhood for the remaining candidates. The return value
-// reports whether that happened.
+// FixedKNN neighborhood. Step 1 is the only work that downgrade can cut,
+// so it is all the pilot times. The return value reports whether the
+// downgrade happened.
 func (sc *scorer) scoreAll(ctx context.Context, cands []Candidate) (degraded bool, err error) {
 	sc.resolved = sc.opts.Strategy
 	if len(cands) == 0 {
 		return false, nil
 	}
-	sc.feats = getFeatMatrix(len(cands), featWidth(len(sc.chans)))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cands) {
-		workers = len(cands)
+	workers := min(runtime.GOMAXPROCS(0), len(cands))
+	if degraded, err = sc.scoreNeighborhoods(ctx, cands, workers); err != nil {
+		return degraded, err
 	}
+	if err = sc.buildCorpora(ctx, cands, workers); err != nil {
+		return degraded, err
+	}
+	sc.feats = getFeatMatrix(len(cands), featWidth(len(sc.chans)))
+	for i := range cands {
+		c := &cands[i]
+		c.Correlation = 1
+		if lo, hi, ok := sc.corrWindow(c); ok {
+			c.Correlation = sc.corpora[corpusSlot(c.Channel, hi-lo)].Frequency(lo)
+		}
+		sc.feats.fill(i, c, &sc.opts)
+	}
+	return degraded, nil
+}
+
+// scoreNeighborhoods is scoreAll's step 1, the deadline pilot included.
+func (sc *scorer) scoreNeighborhoods(ctx context.Context, cands []Candidate, workers int) (degraded bool, err error) {
 	// strategy is resolved completely — pilot measurement, downgrade
 	// decision, pilot re-score — before the worker pool starts. Workers
 	// receive the final value; nothing they read is written afterwards.
 	strategy := sc.opts.Strategy
 	start := 0
 	if deadline, ok := ctx.Deadline(); ok && strategy != FixedKNN {
-		pilot := 4
-		if pilot > len(cands) {
-			pilot = len(cands)
-		}
+		pilot := min(4, len(cands))
 		t0 := sc.clk.Now()
 		for i := 0; i < pilot; i++ {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
 			sc.score(&cands[i], strategy)
-			sc.feats.fill(i, &cands[i], &sc.opts)
 		}
 		per := sc.clk.Now().Sub(t0) / time.Duration(pilot)
 		rounds := (len(cands) - pilot + workers - 1) / workers
@@ -302,30 +330,73 @@ func (sc *scorer) scoreAll(ctx context.Context, cands []Candidate) (degraded boo
 		}
 	}
 	sc.resolved = strategy
-	var wg sync.WaitGroup
-	ch := make(chan int, len(cands)-start)
-	for i := start; i < len(cands); i++ {
-		ch <- i
+	rest := cands[start:]
+	return degraded, runPool(ctx, workers, len(rest), func(i int) {
+		sc.score(&rest[i], strategy)
+	})
+}
+
+// buildCorpora is scoreAll's step 2: it builds, on up to workers
+// goroutines, one SAX corpus for each distinct (channel, window length)
+// pair the candidates' correlation windows read, and none for any other.
+// A corpus costs about its window length per position, so the longest
+// windows are built first and the short ones fill in behind them.
+func (sc *scorer) buildCorpora(ctx context.Context, cands []Candidate, workers int) error {
+	sc.corpora = make([]*sax.Corpus, len(sc.chans)*(maxWindow+1))
+	jobs := sc.corpusJobs(cands)
+	bp := sax.Breakpoints(sc.opts.SAXAlphabet)
+	return runPool(ctx, workers, len(jobs), func(j int) {
+		k, w := jobs[j]/(maxWindow+1), jobs[j]%(maxWindow+1)
+		sc.corpora[jobs[j]] = sax.NewCorpus(sc.chans[k], w, sc.opts.SAXSegments, bp)
+	})
+}
+
+// corpusJobs returns the corpus slot of every distinct (channel, window
+// length) pair the candidates' correlation windows read, longest windows
+// first.
+func (sc *scorer) corpusJobs(cands []Candidate) []int {
+	need := make([]bool, len(sc.chans)*(maxWindow+1))
+	for i := range cands {
+		if lo, hi, ok := sc.corrWindow(&cands[i]); ok {
+			need[corpusSlot(cands[i].Channel, hi-lo)] = true
+		}
 	}
-	close(ch)
-	var cancelled sync.Once
-	var ctxErr error
-	for w := 0; w < workers; w++ {
+	var jobs []int
+	for w := maxWindow; w >= 0; w-- {
+		for k := range sc.chans {
+			if need[corpusSlot(k, w)] {
+				jobs = append(jobs, corpusSlot(k, w))
+			}
+		}
+	}
+	return jobs
+}
+
+// runPool runs job(0), ..., job(n-1) on up to workers goroutines and
+// returns once all have finished. A worker checks ctx before each job and
+// stops once it is done; runPool then returns ctx's error.
+func runPool(ctx context.Context, workers, n int, job func(i int)) error {
+	var next atomic.Int64
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				if e := ctx.Err(); e != nil {
-					cancelled.Do(func() { ctxErr = e })
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if ctx.Err() != nil {
+					stopped.Store(true)
 					return
 				}
-				sc.score(&cands[i], strategy)
-				sc.feats.fill(i, &cands[i], &sc.opts)
+				job(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return degraded, ctxErr
+	if stopped.Load() {
+		return ctx.Err()
+	}
+	return nil
 }
 
 func absInt(x int) int {

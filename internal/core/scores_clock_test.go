@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -137,5 +138,51 @@ func TestDeadlinePilotKeepsStrategyWithHeadroom(t *testing.T) {
 	}
 	if sc.resolved != BinaryINN {
 		t.Fatalf("resolved strategy = %v, want BinaryINN untouched", sc.resolved)
+	}
+}
+
+// TestDeadlinePilotBuildsNoCorpus: step 1 of scoring — the deadline
+// pilot and the neighborhood pool — builds no SAX corpus, so the pilot
+// times only the work a FixedKNN downgrade can cut, with exactly its
+// three clock reads. The corpora come after, in step 2, untimed.
+func TestDeadlinePilotBuildsNoCorpus(t *testing.T) {
+	deadline := time.Now().Add(2 * time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+
+	const step = 40 * time.Millisecond
+	start := deadline.Add(-time.Hour)
+	clk := obs.NewFakeClock(start)
+	clk.SetStep(step)
+	sc, cands := clockScorer(t, clk)
+	degraded, err := sc.scoreNeighborhoods(ctx, cands, runtime.GOMAXPROCS(0))
+	if err != nil {
+		t.Fatalf("step 1: %v", err)
+	}
+	if degraded {
+		t.Fatal("pilot degraded despite an hour of fake headroom")
+	}
+	if sc.corpora != nil || sc.feats != nil {
+		t.Fatalf("step 1 built %d corpus slots and a %v feature matrix", len(sc.corpora), sc.feats != nil)
+	}
+	clk.SetStep(0)
+	if got := clk.Now(); !got.Equal(start.Add(3 * step)) {
+		t.Fatalf("pilot read the clock %d times, want 3", int(got.Sub(start)/step))
+	}
+	clk.SetStep(step)
+	if err := sc.buildCorpora(ctx, cands, runtime.GOMAXPROCS(0)); err != nil {
+		t.Fatalf("step 2: %v", err)
+	}
+	built := 0
+	for _, c := range sc.corpora {
+		if c != nil {
+			built++
+		}
+	}
+	if built == 0 {
+		t.Fatal("step 2 built no corpus")
+	}
+	if got := clk.Now(); !got.Equal(start.Add(3 * step)) {
+		t.Fatalf("step 2 read the clock %d times, want 0", int(got.Sub(start.Add(3*step))/step))
 	}
 }

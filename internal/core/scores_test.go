@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"cabd/internal/inn"
+	"cabd/internal/sax"
 	"cabd/internal/series"
 	"cabd/internal/stats"
 )
@@ -223,5 +226,109 @@ func TestStrategiesAgreeOnCleanGroup(t *testing.T) {
 	c := candidateAt(scoreSeries(vals, Options{Strategy: FixedKNN, KNNK: 7}), 300)
 	if c == nil || len(c.INN) != 7 {
 		t.Errorf("FixedKNN neighborhood size = %v, want 7", c)
+	}
+}
+
+// channelScorer builds a scorer over d channels of a 900-point series
+// and the union of the channels' candidates, each owned by the first
+// channel that flags it. Each channel carries groups of 1 to 9 points at
+// its own offsets, so neighborhoods, and with them correlation window
+// lengths, vary. One channel scores its raw values over the 2-D
+// embedding, as Detect does; more score standardized channels over
+// multi's N-D embedding.
+func channelScorer(t *testing.T, d int) (*scorer, []Candidate) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(10 + d)))
+	opts := Options{}.defaults()
+	n := 900
+	chans := make([][]float64, d)
+	for k := range chans {
+		vals := noisyBase(rng, n)
+		for g, at := 1, 40+17*k; at+g < n-20; g, at = g%9+1, at+60 {
+			for i := at; i < at+g; i++ {
+				vals[i] = 20 + rng.NormFloat64()
+			}
+		}
+		chans[k] = vals
+	}
+	seen := make([]bool, n)
+	var cands []Candidate
+	for k, ch := range chans {
+		idx, zsc := candidateIndices(&series.Series{Values: ch}, opts.CandidateZ)
+		for i, ci := range idx {
+			if !seen[ci] {
+				seen[ci] = true
+				cands = append(cands, Candidate{Index: ci, SecondDiffZ: zsc[i], Channel: k})
+			}
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool { return cands[a].Index < cands[b].Index })
+	if d == 1 {
+		zs := &series.Series{Values: stats.Standardize(chans[0])}
+		return newScorer(chans, inn.FromSeries(zs), opts), cands
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{float64(i) / float64(n)}
+	}
+	for k, ch := range chans {
+		chans[k] = stats.Standardize(ch)
+		for i := range rows {
+			rows[i] = append(rows[i], chans[k][i])
+		}
+	}
+	return newScorer(chans, inn.NewNComputer(rows), opts), cands
+}
+
+// TestScoresBuildOneCorpusPerWindow: one scoring pass builds exactly one
+// SAX corpus for each distinct (channel, window length) pair its
+// candidates' correlation windows read, the longest windows first, and
+// none for any other pair; every correlation equals a lookup in a corpus
+// built on its own.
+func TestScoresBuildOneCorpusPerWindow(t *testing.T) {
+	for _, d := range []int{1, 3} {
+		sc, cands := channelScorer(t, d)
+		if _, err := sc.scoreAll(context.Background(), cands); err != nil {
+			t.Fatalf("d=%d: scoreAll: %v", d, err)
+		}
+		used := map[int]bool{}
+		lengths := map[int]bool{}
+		channels := map[int]bool{}
+		for i := range cands {
+			c := &cands[i]
+			lo, hi, ok := sc.corrWindow(c)
+			if !ok {
+				continue
+			}
+			used[corpusSlot(c.Channel, hi-lo)] = true
+			lengths[hi-lo] = true
+			channels[c.Channel] = true
+			want := sax.NewCorpus(sc.chans[c.Channel], hi-lo, sc.opts.SAXSegments, sax.Breakpoints(sc.opts.SAXAlphabet)).Frequency(lo)
+			if math.Float64bits(c.Correlation) != math.Float64bits(want) {
+				t.Errorf("d=%d candidate %d: correlation %v, own corpus %v", d, c.Index, c.Correlation, want)
+			}
+		}
+		if len(lengths) < 3 || len(channels) != d {
+			t.Fatalf("d=%d: windows of %d lengths on %d channels; the fixture needs 3+ lengths on every channel", d, len(lengths), len(channels))
+		}
+		built := 0
+		for slot, c := range sc.corpora {
+			if (c != nil) != used[slot] {
+				t.Errorf("d=%d channel %d length %d: built %v, read %v", d, slot/(maxWindow+1), slot%(maxWindow+1), c != nil, used[slot])
+			}
+			if c != nil {
+				built++
+			}
+		}
+		jobs := sc.corpusJobs(cands)
+		if len(jobs) != len(used) || built != len(used) {
+			t.Errorf("d=%d: %d jobs and %d corpora for %d distinct pairs", d, len(jobs), built, len(used))
+		}
+		for j := 1; j < len(jobs); j++ {
+			if jobs[j]%(maxWindow+1) > jobs[j-1]%(maxWindow+1) {
+				t.Errorf("d=%d: job %d builds length %d after length %d", d, j, jobs[j]%(maxWindow+1), jobs[j-1]%(maxWindow+1))
+			}
+		}
+		t.Logf("d=%d: %d candidates, %d corpora over lengths %v", d, len(cands), built, lengths)
 	}
 }

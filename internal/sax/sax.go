@@ -2,14 +2,13 @@
 // Definition 6) and Symbolic Aggregate approXimation (SAX, Definition 7)
 // following Lin et al. [26]. CABD's correlation score represents a
 // candidate's INN window as a SAX word and counts how often that word
-// occurs across the whole series (Corpora); the Luminol baseline uses
+// occurs across the whole series (Corpus); the Luminol baseline uses
 // SAX bitmaps.
 package sax
 
 import (
 	"math"
 	"strings"
-	"sync"
 
 	"cabd/internal/stats"
 )
@@ -84,61 +83,14 @@ func letter(v float64, bp []float64) byte {
 	return byte('a' + idx)
 }
 
-// Corpora counts the SAX words of one series: for each window length
-// asked about, how many length-w windows (stride 1) share each word.
-// Each window is standardized independently, following the standard SAX
-// subsequence pipeline. It is safe for concurrent use.
-//
-// A length's table is built once, on its first lookup, and then answers
-// every window of that length in O(1). Building one length never blocks
-// lookups of another.
-type Corpora struct {
-	xs   []float64
-	m, a int
-	bp   []float64 // breakpoints, shared by every table
-
-	mu     sync.Mutex
-	tables map[int]*table
-}
-
-// table is the counted corpus of one window length.
-type table struct {
-	once   sync.Once
+// Corpus counts the SAX words of one window length of one series: how
+// many length-w windows (stride 1) share each word. Each window is
+// standardized independently, following the standard SAX subsequence
+// pipeline. NewCorpus builds it in one call; it is read-only afterwards,
+// so any number of goroutines may query it.
+type Corpus struct {
 	ids    []int32 // word id of the window starting at each position
 	counts []int32 // windows per word id
-}
-
-// NewCorpora returns the (empty, lazily filled) corpora of xs for words
-// of m segments over alphabet a. xs must not change afterwards.
-func NewCorpora(xs []float64, m, a int) *Corpora {
-	return &Corpora{xs: xs, m: m, a: a, bp: Breakpoints(a), tables: make(map[int]*table)}
-}
-
-// Frequency returns the fraction of length-(hi-lo) windows of the series
-// whose SAX word equals the word of xs[lo:hi]. Degenerate parameters
-// (an empty or over-long window, m <= 0, a < 2) return 0.
-func (c *Corpora) Frequency(lo, hi int) float64 {
-	w := hi - lo
-	if w <= 0 || w > len(c.xs) || c.m <= 0 || c.a < 2 {
-		return 0
-	}
-	t := c.table(w)
-	return float64(t.counts[t.ids[lo]]) / float64(len(t.ids))
-}
-
-// table returns the built table of window length w. The map lock covers
-// only the slot lookup; the build runs under the table's own Once, so
-// workers asking about other lengths proceed while it runs.
-func (c *Corpora) table(w int) *table {
-	c.mu.Lock()
-	t := c.tables[w]
-	if t == nil {
-		t = &table{}
-		c.tables[w] = t
-	}
-	c.mu.Unlock()
-	t.once.Do(func() { t.build(c.xs, w, c.m, c.bp) })
-	return t
 }
 
 // laneWord is the longest word the four-window kernel encodes; longer
@@ -148,31 +100,39 @@ const laneWord = 16
 // lanes holds the words of four consecutive windows.
 type lanes [4][laneWord]byte
 
-// build encodes every length-w window and gives each a word id. When the
-// a^size possible words number no more than the windows, a word's id is
-// its base-a letter value and counts has one slot per possible word, so
-// numbering a window is a few multiply-adds. Wider word spaces number
-// the distinct words in first-seen order through a map, which costs one
-// key per distinct word. Windows are encoded four at a time by encode4
-// while four remain and the kernel applies, the rest one at a time by
-// encode.
-func (t *table) build(xs []float64, w, m int, bp []float64) {
+// NewCorpus encodes every length-w window of xs as a word of m segments
+// over the alphabet whose breakpoints are bp (Breakpoints(a)), and counts
+// the windows sharing each word. Degenerate parameters (an empty or
+// over-long window, m <= 0, fewer than 2 letters) give an empty corpus.
+//
+// When the a^size possible words number no more than the windows, a
+// word's id is its base-a letter value and counts has one slot per
+// possible word, so numbering a window is a few multiply-adds. Wider word
+// spaces number the distinct words in first-seen order through a map,
+// which costs one key per distinct word. Windows are encoded four at a
+// time by encode4 while four remain and the kernel applies, the rest one
+// at a time by encode.
+func NewCorpus(xs []float64, w, m int, bp []float64) *Corpus {
+	c := &Corpus{}
+	if w <= 0 || w > len(xs) || m <= 0 || len(bp) == 0 {
+		return c
+	}
 	size := min(m, w)
 	a := len(bp) + 1
-	t.ids = make([]int32, len(xs)-w+1)
+	c.ids = make([]int32, len(xs)-w+1)
 	var index map[string]int32
-	if slots := wordSpace(a, size, len(t.ids)); slots > 0 {
-		t.counts = make([]int32, slots)
+	if slots := wordSpace(a, size, len(c.ids)); slots > 0 {
+		c.counts = make([]int32, slots)
 	} else {
-		index = make(map[string]int32, min(len(t.ids), 64))
+		index = make(map[string]int32, min(len(c.ids), 64))
 	}
 	var ln lanes
 	lo := 0
 	if size < w && size <= laneWord {
-		for ; lo+4 <= len(t.ids); lo += 4 {
+		for ; lo+4 <= len(c.ids); lo += 4 {
 			encode4(&ln, xs[lo:lo+w+3], w, size, bp)
 			for k := range ln {
-				t.ids[lo+k] = wordID(ln[k][:size], a, index)
+				c.ids[lo+k] = wordID(ln[k][:size], a, index)
 			}
 		}
 	}
@@ -182,16 +142,27 @@ func (t *table) build(xs []float64, w, m int, bp []float64) {
 	} else {
 		buf = make([]byte, size)
 	}
-	for ; lo < len(t.ids); lo++ {
+	for ; lo < len(c.ids); lo++ {
 		encode(buf, xs[lo:lo+w], bp)
-		t.ids[lo] = wordID(buf, a, index)
+		c.ids[lo] = wordID(buf, a, index)
 	}
 	if index != nil {
-		t.counts = make([]int32, len(index))
+		c.counts = make([]int32, len(index))
 	}
-	for _, id := range t.ids {
-		t.counts[id]++
+	for _, id := range c.ids {
+		c.counts[id]++
 	}
+	return c
+}
+
+// Frequency returns the fraction of the corpus's windows whose SAX word
+// equals the word of the window starting at xs[lo]; an empty corpus
+// returns 0.
+func (c *Corpus) Frequency(lo int) float64 {
+	if len(c.ids) == 0 {
+		return 0
+	}
+	return float64(c.counts[c.ids[lo]]) / float64(len(c.ids))
 }
 
 // wordSpace returns a^size, the number of possible words, when it is at

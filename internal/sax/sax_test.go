@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // Word, SlidingWords and Frequency are the reference pipeline: one
-// allocated word per window, compared by a linear scan. Corpora must
+// allocated word per window, compared by a linear scan. A Corpus must
 // answer exactly as Frequency over SlidingWords does.
 
 // Word converts xs to a SAX word: standardize, PAA to m segments,
@@ -288,7 +287,7 @@ func corpusSeries(rng *rand.Rand, n int) []float64 {
 
 // TestCorporaMatchesReference is the differential: on randomized series,
 // every window's word from encode and from the four-window kernel equals
-// Word, and Corpora.Frequency equals Frequency over SlidingWords bit for
+// Word, and Corpus.Frequency equals Frequency over SlidingWords bit for
 // bit. The trials must reach window counts of every residue mod 4 (the
 // kernel's tail), and word spaces a^m on both sides of the integer-id cut.
 func TestCorporaMatchesReference(t *testing.T) {
@@ -307,7 +306,7 @@ func TestCorporaMatchesReference(t *testing.T) {
 			for _, m := range []int{1, w, w + 3, 1 + rng.Intn(8), laneWord + 1} {
 				size := min(m, w)
 				nwin := n - w + 1
-				c := NewCorpora(xs, m, a)
+				c := NewCorpus(xs, w, m, bp)
 				words := SlidingWords(xs, w, m, a)
 				buf := make([]byte, size)
 				var ln lanes
@@ -336,7 +335,7 @@ func TestCorporaMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					got := c.Frequency(lo, lo+w)
+					got := c.Frequency(lo)
 					want := Frequency(words, ref)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("trial %d n=%d w=%d m=%d a=%d lo=%d: Frequency %v, reference %v",
@@ -351,10 +350,10 @@ func TestCorporaMatchesReference(t *testing.T) {
 	for nwin := 26; nwin <= 28; nwin++ {
 		w := 8
 		xs := corpusSeries(rng, nwin+w-1)
-		c := NewCorpora(xs, 3, 3)
+		c := NewCorpus(xs, w, 3, Breakpoints(3))
 		words := SlidingWords(xs, w, 3, 3)
 		for lo := 0; lo < nwin; lo++ {
-			got, want := c.Frequency(lo, lo+w), Frequency(words, words[lo])
+			got, want := c.Frequency(lo), Frequency(words, words[lo])
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d windows, lo=%d: Frequency %v, reference %v", nwin, lo, got, want)
 			}
@@ -387,24 +386,24 @@ func TestCorporaDegenerate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := Frequency(SlidingWords(xs, tc.hi-tc.lo, tc.m, tc.a), "")
-		if got := NewCorpora(xs, tc.m, tc.a).Frequency(tc.lo, tc.hi); got != 0 || want != 0 {
+		if got := NewCorpus(xs, tc.hi-tc.lo, tc.m, Breakpoints(tc.a)).Frequency(tc.lo); got != 0 || want != 0 {
 			t.Errorf("%s: Frequency = %v, reference %v, want 0", tc.name, got, want)
 		}
 	}
-	if got := NewCorpora(xs, 2, 3).Frequency(0, 2); got != 0.6 {
+	if got := NewCorpus(xs, 2, 2, Breakpoints(3)).Frequency(0); got != 0.6 {
 		t.Errorf("alternating pairs: Frequency = %v, want 0.6", got)
 	}
 }
 
-// TestCorporaBuildAllocs: building one length's table costs a constant
+// TestCorporaBuildAllocs: building one length's corpus costs a constant
 // number of allocations, however long the series — the encoders allocate
 // nothing per window. With integer word ids (4^3 = 64 possible words, no
 // more than the windows) nothing is added per distinct word; below the
 // cut (45 windows) the map numbering adds one key per distinct word.
 func TestCorporaBuildAllocs(t *testing.T) {
-	// The Corpora, its breakpoints and table map, the table, its id
-	// slice, index and counts: under a dozen, for any n.
-	const budget = 12
+	// The breakpoints, the Corpus, its id slice, index and counts: under
+	// ten, for any n.
+	const budget = 10
 	for _, n := range []int{60, 200, 5000, 50000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		xs := make([]float64, n)
@@ -413,10 +412,10 @@ func TestCorporaBuildAllocs(t *testing.T) {
 		}
 		limit := budget
 		if wordSpace(4, 3, n-16+1) == 0 {
-			limit += len(NewCorpora(xs, 3, 4).table(16).counts)
+			limit += len(NewCorpus(xs, 16, 3, Breakpoints(4)).counts)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			NewCorpora(xs, 3, 4).Frequency(0, 16)
+			NewCorpus(xs, 16, 3, Breakpoints(4)).Frequency(0)
 		})
 		if allocs > float64(limit) {
 			t.Errorf("n=%d: %v allocations, want <= %d", n, allocs, limit)
@@ -424,55 +423,23 @@ func TestCorporaBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestCorporaLookupAllocs: once a length is built, lookups allocate
+// TestCorporaLookupAllocs: once a corpus is built, lookups allocate
 // nothing.
 func TestCorporaLookupAllocs(t *testing.T) {
 	xs := make([]float64, 500)
 	for i := range xs {
 		xs[i] = math.Sin(float64(i) / 5)
 	}
-	c := NewCorpora(xs, 3, 3)
-	c.Frequency(0, 9)
-	if allocs := testing.AllocsPerRun(100, func() { c.Frequency(17, 26) }); allocs != 0 {
+	c := NewCorpus(xs, 9, 3, Breakpoints(3))
+	if allocs := testing.AllocsPerRun(100, func() { c.Frequency(17) }); allocs != 0 {
 		t.Errorf("built lookup allocated %v times", allocs)
-	}
-}
-
-// TestCorporaConcurrent: workers asking about many lengths at once see
-// the same frequencies as one sequential pass (and the race detector
-// sees the per-length builds).
-func TestCorporaConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := corpusSeries(rng, 400)
-	want := map[int]float64{}
-	seq := NewCorpora(xs, 3, 3)
-	for w := 2; w < 30; w++ {
-		want[w] = seq.Frequency(w, 2*w)
-	}
-	c := NewCorpora(xs, 3, 3)
-	got := make([]float64, 30)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for w := 2 + g; w < 30; w += 4 {
-				got[w] = c.Frequency(w, 2*w)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for w := 2; w < 30; w++ {
-		if got[w] != want[w] {
-			t.Errorf("w=%d: concurrent %v, sequential %v", w, got[w], want[w])
-		}
 	}
 }
 
 // benchSink keeps the benchmarked lookups live.
 var benchSink float64
 
-// BenchmarkCorpora builds and queries the tables one scoring pass over a
+// BenchmarkCorpora builds and queries the corpora one scoring pass over a
 // 2000-point series asks for: each centered window length the
 // correlation score uses (7 to 25), probed every 16 positions.
 func BenchmarkCorpora(b *testing.B) {
@@ -484,10 +451,11 @@ func BenchmarkCorpora(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCorpora(xs, 3, 3)
+		bp := Breakpoints(3)
 		for w := 7; w <= 25; w += 2 {
+			c := NewCorpus(xs, w, 3, bp)
 			for lo := 0; lo+w <= len(xs); lo += 16 {
-				benchSink += c.Frequency(lo, lo+w)
+				benchSink += c.Frequency(lo)
 			}
 		}
 	}

@@ -98,6 +98,9 @@ func SampleStd(xs []float64) float64 {
 
 // Median returns the median of xs without modifying it, or 0 for an empty
 // slice. Even-length inputs return the midpoint of the two central values.
+// The central values are selected from a copy, in sort.Float64s's order
+// (NaN first), so the result equals the middle of the sorted copy without
+// sorting it.
 func Median(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
@@ -105,11 +108,112 @@ func Median(xs []float64) float64 {
 	}
 	cp := make([]float64, n)
 	copy(cp, xs)
-	sort.Float64s(cp)
+	k := n / 2
+	selectKth(cp, k)
 	if n%2 == 1 {
-		return cp[n/2]
+		return cp[k]
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	// Every value left of k precedes or ties cp[k]; the largest of them
+	// is the lower middle.
+	lower := cp[0]
+	for _, x := range cp[1:k] {
+		if nanFirstLess(lower, x) {
+			lower = x
+		}
+	}
+	return (lower + cp[k]) / 2
+}
+
+// nanFirstLess is sort.Float64s's order: numeric, with NaN before every
+// number.
+func nanFirstLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// selectKth reorders xs so that xs[k] holds the value sorting xs would put
+// there, no value before it follows it and none after it precedes it (in
+// nanFirstLess's order). Each round partitions the span holding k three
+// ways about a median-of-three pivot, so a run of tied values — quantized
+// data, a collapsed MAD — is settled in one pass instead of one value at
+// a time. Rounds that scan more than 8·len(xs) values in all hand the span
+// to heapSelect, so an input crafted against the pivot rule costs
+// O(n log n), not O(n²).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 8 * len(xs); hi-lo > 1; budget -= hi - lo {
+		if budget < 0 {
+			heapSelect(xs[lo:hi], k-lo)
+			return
+		}
+		a, p, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		if nanFirstLess(p, a) {
+			a, p = p, a
+		}
+		if nanFirstLess(c, p) {
+			p = c
+			if nanFirstLess(p, a) {
+				p = a
+			}
+		}
+		// xs[lo:lt] precedes p, xs[lt:i] ties it, xs[gt:hi] follows it.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case nanFirstLess(xs[i], p):
+				xs[lt], xs[i] = xs[i], xs[lt]
+				lt++
+				i++
+			case nanFirstLess(p, xs[i]):
+				gt--
+				xs[i], xs[gt] = xs[gt], xs[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+// heapSelect does selectKth's job in O(n log n) for any input: xs[:k+1]
+// becomes a max-heap of the k+1 smallest values, whose top is then swapped
+// into xs[k].
+func heapSelect(xs []float64, k int) {
+	h := xs[:k+1]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for j := k + 1; j < len(xs); j++ {
+		if nanFirstLess(xs[j], h[0]) {
+			h[0], xs[j] = xs[j], h[0]
+			siftDown(h, 0)
+		}
+	}
+	xs[0], xs[k] = xs[k], xs[0]
+}
+
+// siftDown restores the max-heap order of h below node i.
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && nanFirstLess(h[c], h[c+1]) {
+			c++
+		}
+		if !nanFirstLess(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // MAD returns the Median Absolute Deviation of xs (Definition 4):

@@ -90,6 +90,145 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+// sortMedian is the sort-based Median the selection replaced, kept as
+// the reference the selection must reproduce.
+func sortMedian(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	cp := make([]float64, n)
+	copy(cp, xs)
+	sort.Float64s(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// checkMedian fails unless Median(xs) equals sortMedian(xs) — NaN exactly
+// where the reference is NaN — and leaves xs bit for bit as it was. It
+// returns the reference.
+func checkMedian(t *testing.T, xs []float64) float64 {
+	t.Helper()
+	before := make([]uint64, len(xs))
+	for i, x := range xs {
+		before[i] = math.Float64bits(x)
+	}
+	got, want := Median(xs), sortMedian(xs)
+	if math.IsNaN(got) != math.IsNaN(want) || (!math.IsNaN(want) && got != want) {
+		t.Fatalf("n=%d %v: Median %v, sorted reference %v", len(xs), xs, got, want)
+	}
+	for i, x := range xs {
+		if math.Float64bits(x) != before[i] {
+			t.Fatalf("n=%d: Median changed xs[%d] from %v to %v", len(xs), i, math.Float64frombits(before[i]), x)
+		}
+	}
+	return want
+}
+
+// TestMedianMatchesSort is the selection's differential: on random
+// slices of length 0–200, heavily tied and salted with NaN, -0 and +0,
+// and in random, ascending and descending order, Median equals the
+// middle of the sorted copy.
+func TestMedianMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var nanMedians, zeroMedians int
+	for trial := 0; trial < 3000; trial++ {
+		xs := make([]float64, rng.Intn(201))
+		specials := rng.Intn(4) // how often a special value is drawn
+		for i := range xs {
+			switch r := rng.Intn(12); {
+			case r < specials:
+				xs[i] = [...]float64{math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(3)]
+			case r < 6 && i > 0:
+				xs[i] = xs[rng.Intn(i)]
+			case r < 9:
+				xs[i] = float64(rng.Intn(5) - 2)
+			default:
+				xs[i] = rng.NormFloat64()
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		switch want := checkMedian(t, xs); {
+		case math.IsNaN(want):
+			nanMedians++
+		case want == 0 && len(xs) > 0:
+			zeroMedians++
+		}
+	}
+	if nanMedians == 0 || zeroMedians == 0 {
+		t.Errorf("trials with a NaN median: %d, with a zero median: %d; want both", nanMedians, zeroMedians)
+	}
+}
+
+// TestMedianHeapSelectFallback: an organ pipe (rising, then falling)
+// makes the median-of-three pivot split badly until selection's work
+// budget runs out and heap selection finishes the span; the median must
+// still be the sorted copy's middle. heapSelect also matches sorting on
+// its own, for every k, on random tied inputs with NaN and ±0.
+func TestMedianHeapSelectFallback(t *testing.T) {
+	for _, n := range []int{5000, 5001} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(min(i, n-i))
+		}
+		checkMedian(t, xs)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, 1+rng.Intn(60))
+		for i := range xs {
+			xs[i] = [...]float64{math.NaN(), math.Copysign(0, -1), 0, 1, 2, 3}[rng.Intn(6)]
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		k := rng.Intn(len(xs))
+		heapSelect(xs, k)
+		if math.IsNaN(xs[k]) != math.IsNaN(want[k]) || (!math.IsNaN(want[k]) && xs[k] != want[k]) {
+			t.Fatalf("trial %d k=%d: heapSelect put %v, sorting puts %v", trial, k, xs[k], want[k])
+		}
+		for i, x := range xs {
+			if (i < k && nanFirstLess(xs[k], x)) || (i > k && nanFirstLess(x, xs[k])) {
+				t.Fatalf("trial %d k=%d: %v at %d is on the wrong side of %v", trial, k, x, i, xs[k])
+			}
+		}
+	}
+}
+
+// FuzzMedian: Median equals the sorted copy's middle on any input. Each
+// byte is one value: NaN, -0, +Inf, -Inf, or a quarter-step in [-32, 32),
+// so ties are common.
+func FuzzMedian(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x04, 0xfe, 0x00, 0x04})
+	f.Add([]byte{0x00, 0xfe, 0x00, 0xfe})
+	f.Add([]byte{0xff, 0xff, 0xfd, 0xfc, 0x10, 0x10, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := make([]float64, len(data))
+		for i, b := range data {
+			switch b {
+			case 0xff:
+				xs[i] = math.NaN()
+			case 0xfe:
+				xs[i] = math.Copysign(0, -1)
+			case 0xfd:
+				xs[i] = math.Inf(1)
+			case 0xfc:
+				xs[i] = math.Inf(-1)
+			default:
+				xs[i] = float64(int8(b)) / 4
+			}
+		}
+		checkMedian(t, xs)
+	})
+}
+
 func TestMAD(t *testing.T) {
 	// Classic example: median 2, deviations {1,1,0,0,2,7} -> median 1.
 	xs := []float64{1, 1, 2, 2, 4, 9}
@@ -115,8 +254,8 @@ func TestRobustZ(t *testing.T) {
 }
 
 // TestRobustZMatchesMedianMAD: RobustZ finds the median once, and must
-// stay bit-identical to the composition that sorts for Median and
-// again inside MAD, on random, heavily tied and constant inputs.
+// stay bit-identical to the composition that takes a Median and another
+// inside MAD, on random, heavily tied and constant inputs.
 func TestRobustZMatchesMedianMAD(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var inputs [][]float64
