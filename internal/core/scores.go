@@ -37,7 +37,7 @@ type scorer struct {
 	// resolved is the neighborhood strategy scoring actually ran with.
 	// scoreAll fixes it BEFORE the worker pool starts — the deadline
 	// pilot's downgrade decision must never mutate shared option state
-	// while workers are reading it — and run() reports it on the Result.
+	// while workers are reading it — and score reports it on the Result.
 	resolved Strategy
 
 	// feats is the flat SoA feature matrix scoreAll fills index-aligned

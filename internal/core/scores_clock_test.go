@@ -27,13 +27,9 @@ func clockScorer(t *testing.T, clk obs.Clock) (*scorer, []Candidate) {
 	opts := Options{Obs: obs.NewWithClock(clk)}.defaults()
 	std := stats.Standardize(vals)
 	zs := &series.Series{Name: "t", Values: std}
-	idx, zsc := candidateIndices(zs, opts.CandidateZ)
-	if len(idx) <= 4 {
-		t.Fatalf("fixture yields %d candidates, need >4 for a post-pilot phase", len(idx))
-	}
-	cands := make([]Candidate, len(idx))
-	for i, ci := range idx {
-		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
+	cands, _ := candidates([][]float64{std}, opts.CandidateZ)
+	if len(cands) <= 4 {
+		t.Fatalf("fixture yields %d candidates, need >4 for a post-pilot phase", len(cands))
 	}
 	return newScorer([][]float64{std}, inn.FromSeries(zs), opts), cands
 }

@@ -20,11 +20,7 @@ func scoreSeries(vals []float64, opts Options) []Candidate {
 	opts = opts.defaults()
 	std := stats.Standardize(vals)
 	zs := &series.Series{Name: "t", Values: std}
-	idx, zsc := candidateIndices(zs, opts.CandidateZ)
-	cands := make([]Candidate, len(idx))
-	for i, ci := range idx {
-		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
-	}
+	cands, _ := candidates([][]float64{std}, opts.CandidateZ)
 	sc := newScorer([][]float64{std}, inn.FromSeries(zs), opts)
 	sc.scoreAll(context.Background(), cands)
 	return cands
@@ -167,13 +163,9 @@ func TestDegradedPilotRescored(t *testing.T) {
 	opts := Options{}.defaults() // Strategy = BinaryINN
 	std := stats.Standardize(vals)
 	zs := &series.Series{Name: "deg", Values: std}
-	idx, zsc := candidateIndices(zs, opts.CandidateZ)
-	if len(idx) <= 4 {
-		t.Fatalf("need more than a pilot's worth of candidates, got %d", len(idx))
-	}
-	cands := make([]Candidate, len(idx))
-	for i, ci := range idx {
-		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
+	cands, _ := candidates([][]float64{std}, opts.CandidateZ)
+	if len(cands) <= 4 {
+		t.Fatalf("need more than a pilot's worth of candidates, got %d", len(cands))
 	}
 	comp := inn.FromSeries(zs)
 	sc := newScorer([][]float64{std}, comp, opts)
@@ -254,11 +246,12 @@ func channelScorer(t *testing.T, d int) (*scorer, []Candidate) {
 	seen := make([]bool, n)
 	var cands []Candidate
 	for k, ch := range chans {
-		idx, zsc := candidateIndices(&series.Series{Values: ch}, opts.CandidateZ)
-		for i, ci := range idx {
-			if !seen[ci] {
-				seen[ci] = true
-				cands = append(cands, Candidate{Index: ci, SecondDiffZ: zsc[i], Channel: k})
+		own, _ := candidates([][]float64{ch}, opts.CandidateZ)
+		for _, c := range own {
+			if !seen[c.Index] {
+				seen[c.Index] = true
+				c.Channel = k
+				cands = append(cands, c)
 			}
 		}
 	}

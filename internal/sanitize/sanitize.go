@@ -167,7 +167,8 @@ func (r *Report) classify(v float64) {
 	}
 }
 
-// Series sanitizes one univariate series under cfg.
+// Series sanitizes one univariate series under cfg: the one-dimension
+// case of Multi.
 //
 // The returned slice is the input itself when no repair was needed, or a
 // fresh copy otherwise; the input is never modified. index is non-nil
@@ -175,53 +176,20 @@ func (r *Report) classify(v float64) {
 // position of clean[i], letting callers map detection indices back. The
 // Report is always non-nil, even on error.
 func Series(values []float64, cfg Config) (clean []float64, index []int, rep *Report, err error) {
-	cfg = cfg.defaults()
-	rep = &Report{Policy: cfg.Policy, N: len(values)}
-	if len(values) == 0 {
-		rep.TooShort = true
-		return nil, nil, rep, ErrEmpty
+	dims, index, rep, err := Multi([][]float64{values}, cfg)
+	if dims != nil {
+		clean = dims[0]
 	}
-	var bad []int
-	for i, v := range values {
-		if !Finite(v, cfg.MaxAbs) {
-			bad = append(bad, i)
-			rep.classify(v)
-		}
-	}
-	switch {
-	case len(bad) == 0:
-		clean = values
-	case cfg.Policy == Reject:
-		return nil, nil, rep, fmt.Errorf("%w (%d of %d)", ErrBadValues, len(bad), len(values))
-	case len(bad) == len(values):
-		return nil, nil, rep, ErrAllBad
-	case cfg.Policy == Drop:
-		clean = make([]float64, 0, len(values)-len(bad))
-		index = make([]int, 0, len(values)-len(bad))
-		for i, v := range values {
-			if Finite(v, cfg.MaxAbs) {
-				clean = append(clean, v)
-				index = append(index, i)
-			}
-		}
-		rep.Dropped = bad
-	default: // Interpolate
-		clean = interpolate(values, bad, cfg.MaxAbs)
-		rep.Repaired = bad
-	}
-	if cfg.MinLen > 0 && len(clean) < cfg.MinLen {
-		rep.TooShort = true
-		return clean, index, rep, fmt.Errorf("%w (%d < %d)", ErrTooShort, len(clean), cfg.MinLen)
-	}
-	rep.Constant = isConstant(clean)
-	return clean, index, rep, nil
+	return clean, index, rep, err
 }
 
 // Multi sanitizes a multivariate series: dims holds d value slices over
 // the same clock. All dimensions must have equal length (ErrRagged). A
 // time step is bad when any dimension is bad at that index, so Drop
 // removes whole time steps and the index map stays shared across
-// dimensions; Interpolate repairs each dimension independently.
+// dimensions; Interpolate repairs each dimension independently. A
+// single dimension is a univariate series. The returned slices and the
+// Report follow Series' contract.
 func Multi(dims [][]float64, cfg Config) (clean [][]float64, index []int, rep *Report, err error) {
 	cfg = cfg.defaults()
 	rep = &Report{Policy: cfg.Policy}
@@ -238,61 +206,58 @@ func Multi(dims [][]float64, cfg Config) (clean [][]float64, index []int, rep *R
 	}
 	badStep := make([]bool, n)
 	perDim := make([][]int, len(dims))
-	total := 0
 	for k, dim := range dims {
 		for i, v := range dim {
 			if !Finite(v, cfg.MaxAbs) {
 				perDim[k] = append(perDim[k], i)
 				badStep[i] = true
 				rep.classify(v)
-				total++
 			}
 		}
 	}
+	var bad []int // time steps bad in any dimension, ascending
+	for i, b := range badStep {
+		if b {
+			bad = append(bad, i)
+		}
+	}
 	switch {
-	case total == 0:
+	case len(bad) == 0:
 		clean = dims
 	case cfg.Policy == Reject:
-		return nil, nil, rep, fmt.Errorf("%w (%d values)", ErrBadValues, total)
+		return nil, nil, rep, fmt.Errorf("%w (%d values)", ErrBadValues, rep.Bad())
 	case cfg.Policy == Drop:
+		if len(bad) == n {
+			return nil, nil, rep, ErrAllBad
+		}
+		index = make([]int, 0, n-len(bad))
 		for i, b := range badStep {
-			if b {
-				rep.Dropped = append(rep.Dropped, i)
-			} else {
+			if !b {
 				index = append(index, i)
 			}
 		}
-		if len(index) == 0 {
-			return nil, nil, rep, ErrAllBad
-		}
 		clean = make([][]float64, len(dims))
 		for k, dim := range dims {
-			kept := make([]float64, 0, len(index))
-			for _, i := range index {
-				kept = append(kept, dim[i])
+			kept := make([]float64, len(index))
+			for j, i := range index {
+				kept[j] = dim[i]
 			}
 			clean[k] = kept
 		}
+		rep.Dropped = bad
 	default: // Interpolate
 		clean = make([][]float64, len(dims))
-		seen := map[int]bool{}
 		for k, dim := range dims {
-			if len(perDim[k]) == 0 {
+			switch len(perDim[k]) {
+			case 0:
 				clean[k] = dim
-				continue
-			}
-			if len(perDim[k]) == len(dim) {
+			case n:
 				return nil, nil, rep, ErrAllBad
-			}
-			clean[k] = interpolate(dim, perDim[k], cfg.MaxAbs)
-			for _, i := range perDim[k] {
-				if !seen[i] {
-					seen[i] = true
-					rep.Repaired = append(rep.Repaired, i)
-				}
+			default:
+				clean[k] = interpolate(dim, perDim[k], cfg.MaxAbs)
 			}
 		}
-		sortInts(rep.Repaired)
+		rep.Repaired = bad
 	}
 	if cfg.MinLen > 0 && len(clean[0]) < cfg.MinLen {
 		rep.TooShort = true
@@ -358,14 +323,4 @@ func isConstant(xs []float64) bool {
 		}
 	}
 	return true
-}
-
-// sortInts is a tiny insertion sort — repaired lists are short and this
-// avoids an import for the one call site.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

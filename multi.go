@@ -4,10 +4,6 @@ import (
 	"context"
 
 	"cabd/internal/core"
-	"cabd/internal/multi"
-	"cabd/internal/obs"
-	"cabd/internal/sanitize"
-	"cabd/internal/series"
 )
 
 // MultiDetector detects anomalies and change points in multi-dimensional
@@ -16,12 +12,12 @@ import (
 // the joint (time, value_1..value_d) space; everything else matches the
 // univariate Detector.
 type MultiDetector struct {
-	inner *multi.Detector
+	inner *core.Detector
 }
 
 // NewMulti returns a multivariate detector with the given options.
 func NewMulti(opts Options) *MultiDetector {
-	return &MultiDetector{inner: multi.NewDetector(opts)}
+	return &MultiDetector{inner: core.NewDetector(opts)}
 }
 
 // Detect runs the unsupervised pipeline over dims: a slice of d value
@@ -47,56 +43,14 @@ func (d *MultiDetector) DetectInteractive(dims [][]float64, label func(i int) La
 // loop, and a cancelled context returns ctx.Err() promptly. Panics in
 // the pipeline surface as *PanicError instead of crashing the process.
 func (d *MultiDetector) DetectCtx(ctx context.Context, dims [][]float64) (*Result, error) {
-	return d.detectCtx(ctx, dims, nil)
+	return detect(ctx, d.inner, dims, nil)
 }
 
 // DetectInteractiveCtx is DetectInteractive with sanitization and
 // cancellation. Under SanitizeDrop the labeler still receives time
 // indices in the caller's original layout.
 func (d *MultiDetector) DetectInteractiveCtx(ctx context.Context, dims [][]float64, label func(i int) Label) (*Result, error) {
-	return d.detectCtx(ctx, dims, label)
-}
-
-func (d *MultiDetector) detectCtx(ctx context.Context, dims [][]float64, label func(i int) Label) (*Result, error) {
-	opts := d.inner.Options()
-	t := opts.Obs.NewTrace()
-	var clean [][]float64
-	var index []int
-	var rep *SanitizeReport
-	var sanErr error
-	t.Do(obs.StageSanitize, func() {
-		clean, index, rep, sanErr = sanitize.Multi(dims, sanitizeConfig(opts))
-	})
-	if sanErr != nil {
-		return &Result{Sanitize: rep, Stages: t.Timings()}, sanErr
-	}
-	var o core.Labeler
-	if label != nil {
-		o = multiLabeler(func(i int) Label {
-			if index != nil {
-				i = index[i]
-			}
-			return label(i)
-		})
-	}
-	s := multi.NewSeries("series", clean)
-	cres, err := safeRun(func() (*core.Result, error) {
-		if o != nil {
-			return d.inner.DetectActiveCtx(ctx, s, o)
-		}
-		return d.inner.DetectCtx(ctx, s)
-	})
-	if err != nil {
-		if _, ok := err.(*PanicError); ok {
-			opts.Obs.Add(obs.CounterPanicsContained, 1)
-		}
-		return &Result{Sanitize: rep, Stages: t.Timings()}, err
-	}
-	out := convert(cres)
-	out.Stages.Merge(t.Timings())
-	out.Sanitize = rep
-	remap(out, index)
-	return out, nil
+	return detect(ctx, d.inner, dims, label)
 }
 
 // DetectBatch runs unsupervised multivariate detection over many
@@ -117,9 +71,3 @@ func (d *MultiDetector) DetectBatchCtx(ctx context.Context, sets [][][]float64) 
 			return d.DetectCtx(ctx, sets[i])
 		})
 }
-
-type multiLabeler func(i int) Label
-
-func (f multiLabeler) Label(i int) series.Label { return series.Label(f(i)) }
-
-var _ core.Labeler = multiLabeler(nil)

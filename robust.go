@@ -8,7 +8,6 @@ import (
 	"cabd/internal/core"
 	"cabd/internal/obs"
 	"cabd/internal/sanitize"
-	"cabd/internal/series"
 )
 
 // SanitizePolicy selects how the entry points treat NaN, ±Inf and
@@ -112,7 +111,7 @@ func remap(res *Result, index []int) {
 // On error the returned Result is non-nil but empty except for its
 // SanitizeReport, so callers can still log what the input looked like.
 func (d *Detector) DetectCtx(ctx context.Context, values []float64) (*Result, error) {
-	return d.detectCtx(ctx, values, nil)
+	return detect(ctx, d.inner, [][]float64{values}, nil)
 }
 
 // DetectInteractiveCtx is DetectInteractive with sanitization and
@@ -120,18 +119,22 @@ func (d *Detector) DetectCtx(ctx context.Context, values []float64) (*Result, er
 // rounds. Under SanitizeDrop the labeler still receives indices in the
 // caller's original layout.
 func (d *Detector) DetectInteractiveCtx(ctx context.Context, values []float64, label func(i int) Label) (*Result, error) {
-	return d.detectCtx(ctx, values, label)
+	return detect(ctx, d.inner, [][]float64{values}, label)
 }
 
-func (d *Detector) detectCtx(ctx context.Context, values []float64, label func(i int) Label) (*Result, error) {
-	opts := d.inner.Options()
+// detect is the one sanitizing entry point behind every facade detect
+// method: it sanitizes chans (one channel for a univariate series),
+// runs the pipeline panic-isolated, and maps the detections — and, under
+// SanitizeDrop, the labeler's queries — back to the caller's layout.
+func detect(ctx context.Context, inner *core.Detector, chans [][]float64, label func(i int) Label) (*Result, error) {
+	opts := inner.Options()
 	t := opts.Obs.NewTrace()
-	var clean []float64
+	var clean [][]float64
 	var index []int
 	var rep *SanitizeReport
 	var sanErr error
 	t.Do(obs.StageSanitize, func() {
-		clean, index, rep, sanErr = sanitize.Series(values, sanitizeConfig(opts))
+		clean, index, rep, sanErr = sanitize.Multi(chans, sanitizeConfig(opts))
 	})
 	if sanErr != nil {
 		return &Result{Sanitize: rep, Stages: t.Timings()}, sanErr
@@ -145,12 +148,8 @@ func (d *Detector) detectCtx(ctx context.Context, values []float64, label func(i
 			return label(i)
 		})
 	}
-	s := series.New("series", clean)
 	cres, err := safeRun(func() (*core.Result, error) {
-		if o != nil {
-			return d.inner.DetectActiveCtx(ctx, s, o)
-		}
-		return d.inner.DetectCtx(ctx, s)
+		return inner.DetectChannelsCtx(ctx, clean, o)
 	})
 	if err != nil {
 		if _, ok := err.(*PanicError); ok {
