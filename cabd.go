@@ -29,7 +29,6 @@ import (
 	"context"
 
 	"cabd/internal/core"
-	"cabd/internal/ml/forest"
 	"cabd/internal/series"
 )
 
@@ -93,12 +92,6 @@ type Result struct {
 	// and too-short flags). Nil only for results built outside the
 	// sanitizing entry points.
 	Sanitize *SanitizeReport
-	// Model is the final trained classifier ensemble of the run — the
-	// state an active-learning session accumulated through its labels.
-	// The serving layer serializes it (forest.Snapshot) into session
-	// checkpoints so a restarted server holds the exact model that
-	// produced the verdict. Nil when no classification ran.
-	Model *forest.Forest
 	// Stages is the per-stage wall time of this run, populated only when
 	// Options.Obs carries a recorder.
 	Stages StageTimings
@@ -173,7 +166,6 @@ func (f labelerFunc) Label(i int) series.Label { return series.Label(f(i)) }
 func convert(res *core.Result) *Result {
 	out := &Result{
 		Queries:       res.Queries,
-		Model:         res.Model,
 		Stages:        res.Stages,
 		Strategy:      res.Strategy,
 		Degraded:      res.Degraded,

@@ -24,7 +24,7 @@ var _ = Options{} == Options{}
 // classifySeq is the sequential row-major reference for classify: the
 // per-candidate feature rows the SoA columns replaced, single-goroutine
 // training, and per-row full and out-of-bag inference.
-func classifySeq(d *Detector, cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand) *forest.Forest {
+func classifySeq(d *Detector, cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand) {
 	cfg.Workers = 1
 	X := make([][]float64, len(cands))
 	for i := range cands {
@@ -51,5 +51,4 @@ func classifySeq(d *Detector, cands []Candidate, width int, y []int, w []float64
 		cands[i].Class = Class(bi)
 		cands[i].Confidence = oob[bi]
 	}
-	return fr
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cabd/internal/ml/forest"
 	"cabd/internal/obs"
 	"cabd/internal/series"
 )
@@ -147,13 +146,6 @@ type Result struct {
 	Queries int
 	// Rounds traces each active-learning round.
 	Rounds []RoundSnapshot
-
-	// Model is the last random forest trained by the run — the final
-	// classifier state after every active-learning round. The serving
-	// layer serializes it (forest.Snapshot) into session checkpoints so
-	// a restarted process holds the exact ensemble that produced the
-	// verdict. Nil when no classification ran (no candidates).
-	Model *forest.Forest
 
 	// Stages is the per-stage wall time of this run, populated only when
 	// Options.Obs carries a recorder (the nil-recorder path skips all

@@ -77,18 +77,6 @@ const minBlockRows = 32
 // and every row still sums its trees in index order, so the result is
 // bit-identical at any block count.
 func (f *Forest) predict(m Matrix, full, oob []float64) {
-	if oob != nil && len(f.inBag) == 0 {
-		// Without in-bag masks (a snapshot may omit them) no tree is
-		// known to have left a row out: every row takes the voters == 0
-		// fallback, the full-ensemble distribution.
-		if full == nil {
-			f.predict(m, oob, nil)
-			return
-		}
-		f.predict(m, full, nil)
-		copy(oob, full)
-		return
-	}
 	n := m.N
 	nb := min(runtime.GOMAXPROCS(0), n/minBlockRows)
 	if nb <= 1 {

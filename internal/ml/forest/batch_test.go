@@ -187,37 +187,6 @@ func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
 	})
 }
 
-// TestPredictWithoutInBag: a forest restored from a snapshot without
-// in-bag masks has no out-of-bag voters, so every out-of-bag entry
-// point returns the full-ensemble distribution instead of panicking.
-func TestPredictWithoutInBag(t *testing.T) {
-	X, y := gaussData(rand.New(rand.NewSource(15)), 100, 3, 2)
-	trained := TrainWeighted(X, y, nil, Config{Trees: 10, NumClasses: 2}, rand.New(rand.NewSource(3)))
-	snap := trained.Snapshot()
-	snap.InBag = nil
-	f, err := FromSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := RowMajor(X)
-	batch := f.PredictProbaOOBBatch(m, nil)
-	full, oob := f.PredictProbaAndOOB(m, nil, nil)
-	for i, row := range X {
-		want := f.PredictProba(row)
-		for name, got := range map[string][]float64{
-			"PredictProbaOOB":          f.PredictProbaOOB(i, row),
-			"PredictProbaOOBBatch":     batch[i*2 : i*2+2],
-			"PredictProbaAndOOB (oob)": oob[i*2 : i*2+2],
-			"PredictProbaAndOOB (all)": full[i*2 : i*2+2],
-		} {
-			//cabd:lint-ignore floateq without masks the out-of-bag answer is the full-ensemble oracle, bit for bit
-			if got[0] != want[0] || got[1] != want[1] {
-				t.Fatalf("row %d: %s %v, full ensemble %v", i, name, got, want)
-			}
-		}
-	}
-}
-
 // allocsPerCall is testing.AllocsPerRun at the current GOMAXPROCS:
 // AllocsPerRun pins GOMAXPROCS to 1, which would leave a single row
 // block and hide the fan-out's allocations.

@@ -570,13 +570,10 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 // PredictProbaOOB returns the out-of-bag class distribution of training
 // row i with features x: only trees whose bootstrap sample excluded row i
 // vote, so the estimate is not self-fulfilling. When every tree saw the
-// row (possible for heavily weighted rows), or the forest has no in-bag
-// masks (a snapshot may omit them), it falls back to the full ensemble.
-// It is the per-row differential oracle for PredictProbaOOBBatch.
+// row (possible for heavily weighted rows), it falls back to the full
+// ensemble. It is the per-row differential oracle for
+// PredictProbaOOBBatch.
 func (f *Forest) PredictProbaOOB(i int, x []float64) []float64 {
-	if len(f.inBag) == 0 {
-		return f.PredictProba(x)
-	}
 	probs := make([]float64, f.numClasses)
 	voters := 0
 	for t, tr := range f.trees {

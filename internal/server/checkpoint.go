@@ -12,7 +12,6 @@ import (
 
 	"cabd"
 	"cabd/httpapi"
-	"cabd/internal/ml/forest"
 	"cabd/internal/obs"
 	"cabd/internal/series"
 )
@@ -23,8 +22,9 @@ import (
 // restarted server to re-run the deterministic pipeline (fixed seed,
 // same label set) and converge to the same verdict without asking the
 // user to repeat themselves. Terminal sessions additionally carry the
-// final wire result and the serialized classifier ensemble, so the
-// exact model that produced the verdict survives the restart.
+// final wire result, which is what a restart serves for them. Older
+// checkpoints also hold a "model" key (the serialized classifier);
+// nothing reads it, and decoding ignores it.
 type sessionCheckpoint struct {
 	ID        string                  `json:"id"`
 	Series    []float64               `json:"series"`
@@ -36,7 +36,6 @@ type sessionCheckpoint struct {
 	State     string                  `json:"state"`
 	Result    *httpapi.DetectResponse `json:"result,omitempty"`
 	Error     string                  `json:"error,omitempty"`
-	Model     *forest.Snapshot        `json:"model,omitempty"`
 }
 
 // labelRecord is one delivered label, in delivery order.
@@ -120,7 +119,6 @@ func (s *session) snapshotCheckpoint() *sessionCheckpoint {
 		State:     s.state,
 		Result:    s.result,
 		Error:     s.errMsg,
-		Model:     s.model,
 	}
 	// A parked query checkpoints as running: on restore the replayed
 	// pipeline re-parks on the same uncertainty-sampled index by itself.
@@ -206,7 +204,6 @@ func (t *sessionTable) restoreOne(cp *sessionCheckpoint) error {
 		sess.queries = cp.Queries
 		sess.result = cp.Result
 		sess.errMsg = cp.Error
-		sess.model = cp.Model
 		sess.labels = cp.Labels
 		sess.mu.Unlock()
 		close(sess.done)

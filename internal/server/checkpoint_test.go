@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -218,7 +219,7 @@ func TestSessionCrashRecoveryConvergence(t *testing.T) {
 
 // TestSessionCheckpointLifecycle pins when checkpoint files exist: a
 // live session has one, a completed auto-label session keeps one (with
-// result and model), a client cancel drops it, and a restart resurrects
+// its result), a client cancel drops it, and a restart resurrects
 // the terminal record without colliding with new session ids.
 func TestSessionCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
@@ -287,6 +288,43 @@ func TestSessionCheckpointLifecycle(t *testing.T) {
 	}
 	ts2.Close()
 	srv2.Close()
+}
+
+// TestRestoreCheckpointWithModel: terminal checkpoints written before
+// the session model was dropped carry a "model" key (the serialized
+// classifier). testdata/session-s1.json is one, written by a server of
+// that time for an auto-labelled session. It must still restore, to the
+// state, query count and result it recorded.
+func TestRestoreCheckpointWithModel(t *testing.T) {
+	data, err := os.ReadFile("testdata/session-s1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		State   string                  `json:"state"`
+		Queries int                     `json:"queries"`
+		Result  *httpapi.DetectResponse `json:"result"`
+		Model   json.RawMessage         `json:"model"`
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Model) == 0 || want.State != httpapi.StateDone || want.Result == nil {
+		t.Fatalf("fixture is not a terminal checkpoint with a model (state %q)", want.State)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "session-s1.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl := newTestServer(t, server.Config{CheckpointDir: dir})
+	got, err := cl.Session(context.Background(), "s1")
+	if err != nil {
+		t.Fatalf("restored session: %v", err)
+	}
+	if got.State != want.State || got.Queries != want.Queries || !reflect.DeepEqual(got.Result, want.Result) {
+		t.Fatalf("restored session diverged from its checkpoint:\ngot  %+v\nwant state %q, %d queries, result %+v",
+			got, want.State, want.Queries, want.Result)
+	}
 }
 
 // TestSessionEvictionDropsCheckpoint: the janitor reclaiming an idle

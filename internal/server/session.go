@@ -13,7 +13,6 @@ import (
 
 	"cabd"
 	"cabd/httpapi"
-	"cabd/internal/ml/forest"
 	"cabd/internal/obs"
 	"cabd/internal/oracle"
 	"cabd/internal/series"
@@ -51,8 +50,6 @@ type session struct {
 	// human: the pipeline is deterministic under a fixed seed, so it
 	// re-asks the same indices in the same order.
 	replay map[int]cabd.Label
-	// model is the final serialized ensemble, set when the run finishes.
-	model *forest.Snapshot
 }
 
 // pendingQuery is one parked labeler call: the index the loop wants
@@ -220,12 +217,9 @@ func (s *session) run(ctx context.Context, det *cabd.Detector, vals []float64, t
 		s.state = httpapi.StateDone
 		s.result = toWire(res)
 		s.queries = res.Queries
-		if res.Model != nil {
-			s.model = res.Model.Snapshot()
-		}
 	}
 	s.mu.Unlock()
-	// Persist the terminal verdict (result + serialized model), but not
+	// Persist the terminal verdict, but not
 	// a cancellation: drain cancels every session and must leave the
 	// last pre-drain checkpoint for the restart to resume from, while
 	// deliberate cancels drop the file at their call site.
