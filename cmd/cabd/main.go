@@ -73,55 +73,26 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	dims, err := readDims(flag.Arg(0), *multiCol)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cabd: %v\n", err)
+		os.Exit(1)
+	}
+	det := cabd.NewMulti(opts)
 	var res *cabd.Result
-	if *multiCol {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cabd: %v\n", err)
-			os.Exit(1)
-		}
-		dims, err := dataio.ReadMulti(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cabd: %s: %v\n", flag.Arg(0), err)
-			os.Exit(1)
-		}
-		det := cabd.NewMulti(opts)
-		if *interactive {
-			stdin := bufio.NewReader(os.Stdin)
-			res, err = det.DetectInteractiveCtx(ctx, dims, func(i int) cabd.Label {
-				return prompt(stdin, i, dims[0][i])
-			})
-			if err == nil {
-				fmt.Printf("# %d labels provided\n", res.Queries)
-			}
-		} else {
-			res, err = det.DetectCtx(ctx, dims)
-		}
-		if err != nil {
-			fail(res, err)
+	if *interactive {
+		stdin := bufio.NewReader(os.Stdin)
+		res, err = det.DetectInteractiveCtx(ctx, dims, func(i int) cabd.Label {
+			return prompt(stdin, i, dims[0][i])
+		})
+		if err == nil {
+			fmt.Printf("# %d labels provided\n", res.Queries)
 		}
 	} else {
-		values, err := dataio.ReadValuesFile(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cabd: %v\n", err)
-			os.Exit(1)
-		}
-		det := cabd.New(opts)
-		if *interactive {
-			stdin := bufio.NewReader(os.Stdin)
-			res, err = det.DetectInteractiveCtx(ctx, values, func(i int) cabd.Label {
-				return prompt(stdin, i, values[i])
-			})
-			if err == nil {
-				fmt.Printf("# %d labels provided\n", res.Queries)
-			}
-		} else {
-			res, err = det.DetectCtx(ctx, values)
-		}
-		if err != nil {
-			fail(res, err)
-		}
+		res, err = det.DetectCtx(ctx, dims)
+	}
+	if err != nil {
+		fail(res, err)
 	}
 	report(res)
 	for _, d := range res.Anomalies {
@@ -136,6 +107,26 @@ func main() {
 		}
 		rec.WritePrometheus(os.Stderr)
 	}
+}
+
+// readDims reads the series at path: one channel, or with multi every
+// numeric column as one dimension. The detector treats one channel as
+// the univariate series it is.
+func readDims(path string, multi bool) ([][]float64, error) {
+	if !multi {
+		values, err := dataio.ReadValuesFile(path)
+		return [][]float64{values}, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	dims, err := dataio.ReadMulti(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return dims, nil
 }
 
 // report surfaces sanitization repairs and degradation on stderr, so

@@ -20,27 +20,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	opts, err := parseOptions(req.Options)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := s.requestContext(r, opts)
-	defer cancel()
-	det := s.detectorFor(opts)
-	var res *cabd.Result
-	var detErr error
-	if perr := s.pool.run(func() {
-		res, detErr = det.DetectCtx(ctx, req.Series)
-	}); perr != nil {
-		s.writeShed(w, perr.Error())
-		return
-	}
-	if detErr != nil {
-		s.writeError(w, errStatus(detErr), detErr.Error())
-		return
-	}
-	s.writeJSON(w, http.StatusOK, toWire(res))
+	s.detect(w, r, req.Options, [][]float64{req.Series})
 }
 
 // handleDetectMulti runs one unsupervised multivariate detection: the
@@ -61,7 +41,14 @@ func (s *Server) handleDetectMulti(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "channels is empty")
 		return
 	}
-	opts, err := parseOptions(req.Options)
+	s.detect(w, r, req.Options, req.Channels)
+}
+
+// detect runs one unsupervised detection over chans as a pool job and
+// writes the reply: one channel is a univariate series, more are a
+// multivariate one.
+func (s *Server) detect(w http.ResponseWriter, r *http.Request, wire *httpapi.DetectOptions, chans [][]float64) {
+	opts, err := parseOptions(wire)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -72,7 +59,7 @@ func (s *Server) handleDetectMulti(w http.ResponseWriter, r *http.Request) {
 	var res *cabd.Result
 	var detErr error
 	if perr := s.pool.run(func() {
-		res, detErr = det.DetectCtx(ctx, req.Channels)
+		res, detErr = det.DetectCtx(ctx, chans)
 	}); perr != nil {
 		s.writeShed(w, perr.Error())
 		return

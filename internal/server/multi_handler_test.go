@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"cabd/httpapi"
@@ -76,5 +77,38 @@ func TestDetectMultiValidation(t *testing.T) {
 		t.Error("bogus strategy accepted")
 	} else if serr, ok := err.(*httpapi.StatusError); !ok || serr.Status != http.StatusBadRequest {
 		t.Errorf("bogus strategy error = %v, want 400", err)
+	}
+}
+
+// TestDetectMultiOneChannelMatchesDetect: a one-channel series is a
+// univariate series, so /v1/detect/multi with one channel replies
+// exactly what /v1/detect replies for the same values — detections,
+// confidences, strategy and sanitize block — apart from the stage
+// timings.
+func TestDetectMultiOneChannelMatchesDetect(t *testing.T) {
+	_, _, cl := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	values := synth.YahooLike(4, 500).Values
+	values[120] = 1e300 // repaired or dropped by the sanitize pass
+	for _, opts := range []*httpapi.DetectOptions{
+		nil,
+		{Sanitize: "drop", Seed: 5},
+		{Strategy: "fixed-knn"},
+	} {
+		uni, err := cl.Detect(ctx, values, opts)
+		if err != nil {
+			t.Fatalf("%+v: Detect: %v", opts, err)
+		}
+		one, err := cl.DetectMulti(ctx, [][]float64{values}, opts)
+		if err != nil {
+			t.Fatalf("%+v: DetectMulti: %v", opts, err)
+		}
+		if len(uni.Anomalies)+len(uni.ChangePoints) == 0 || uni.Sanitize == nil || uni.Sanitize.Extremes != 1 {
+			t.Fatalf("%+v: the fixture must detect something and repair one extreme: %+v", opts, uni)
+		}
+		one.StageSeconds, uni.StageSeconds = nil, nil
+		if !reflect.DeepEqual(one, uni) {
+			t.Errorf("%+v: one-channel multi reply differs\n got %+v\nwant %+v", opts, one, uni)
+		}
 	}
 }

@@ -352,7 +352,8 @@ func (s *Server) detectorFor(o *detectOptions) *cabd.Detector {
 	return cabd.New(s.optionsFor(o))
 }
 
-// multiDetectorFor builds the per-request multivariate detector.
+// multiDetectorFor builds the per-request detector over channels: one
+// channel is a univariate series, more a multivariate one.
 func (s *Server) multiDetectorFor(o *detectOptions) *cabd.MultiDetector {
 	return cabd.NewMulti(s.optionsFor(o))
 }
