@@ -77,15 +77,18 @@ check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 #   internal/ml/forest (85): the classifier's batch/parallel fast paths
 #     are promised bit-identical to their sequential oracles, and an
 #     untested branch there is an unverified promise.
-#   internal/multi (85): the multivariate detector's candidate union,
-#     top-z guard and collective merge promise golden and oracle
-#     equality (the oracle tests live in internal/core), so untested
-#     branches there are unverified promises too.
+#   internal/core (88): the detector itself. The candidate stage (the
+#     multivariate union, both flood guards), the collective merge and
+#     the scoring and classification fast paths promise golden and
+#     oracle equality, so untested branches there are unverified
+#     promises too.
+#   internal/multi (85): the d-channel Series type and the detector
+#     wrapper over core that the multivariate golden replays.
 #   internal/sax (95): the SAX encoders and the four-window kernel
 #     promise words byte-identical to the per-window reference.
 #   internal/stats (90): the selection median promises the sorted
 #     copy's middle, and every robust score downstream reads it.
-COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/multi:85 internal/sax:95 internal/stats:90
+COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/core:88 internal/multi:85 internal/sax:95 internal/stats:90
 cover:
 	@for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%:*}; floor=$${pf##*:}; name=$${pkg%/...}; \
