@@ -88,7 +88,10 @@ check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 #     promise words byte-identical to the per-window reference.
 #   internal/stats (90): the selection median promises the sorted
 #     copy's middle, and every robust score downstream reads it.
-COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/core:88 internal/multi:85 internal/sax:95 internal/stats:90
+#   internal/server (85): every route, the one worker budget and the
+#     stream table's close and eviction races; an untested handler is a
+#     wire contract nobody checks.
+COVER_FLOORS := internal/obs:90 internal/lint/...:85 internal/ml/forest:85 internal/core:88 internal/multi:85 internal/sax:95 internal/stats:90 internal/server:85
 cover:
 	@for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%:*}; floor=$${pf##*:}; name=$${pkg%/...}; \

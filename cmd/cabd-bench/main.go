@@ -29,7 +29,7 @@
 // the shed point, and writes -loadjson (default BENCH_load.json). The
 // stream experiment benchmarks the streaming path (per-point cost per
 // window, checkpoint/resume equality, many-stream memory bounds, the
-// sharded registry over HTTP) and writes -streamjson (default
+// stream registry over HTTP) and writes -streamjson (default
 // BENCH_stream.json); a stream resumed from a mid-stream checkpoint that
 // emits different detections than the uninterrupted stream fails the
 // run.
@@ -179,7 +179,7 @@ func main() {
 				fmt.Fprintf(out, "serving benchmark written to %s\n", *serveJSON)
 			}
 		}},
-		{"stream", "streaming path: per-point cost, checkpoint/resume equality, many-stream scale, sharded registry", func(sc experiments.Scale) {
+		{"stream", "streaming path: per-point cost, checkpoint/resume equality, many-stream scale, stream registry over HTTP", func(sc experiments.Scale) {
 			cfg := streambench.StreamBenchConfig{}
 			if *full {
 				cfg = streambench.StreamBenchConfig{

@@ -6,8 +6,9 @@
 // Operational endpoints: /healthz (liveness), /readyz (readiness,
 // 503 while draining), /metrics (Prometheus text) and /debug/vars
 // (expvar). SIGINT/SIGTERM triggers a graceful drain: the listener
-// stops accepting, in-flight requests finish, sessions are cancelled
-// and the worker pool is released, all bounded by -drain-timeout.
+// stops accepting, in-flight requests finish, sessions are cancelled,
+// streams are dropped without a flush and the ingest journal is closed,
+// all bounded by -drain-timeout.
 //
 // Usage:
 //
@@ -35,16 +36,14 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		portfile     = flag.String("portfile", "", "write the bound port number to this file once listening")
-		workers      = flag.Int("workers", 4, "detection worker-pool size")
-		queue        = flag.Int("queue", 64, "request queue depth behind the workers (full queue sheds with 429)")
+		workers      = flag.Int("workers", 4, "detector computations that run at once: detects, batches, stream pushes and closes, session rounds")
+		queue        = flag.Int("queue", 64, "callers that may wait for a worker before a detect, batch, stream push or close sheds with 429 (waiting session rounds count too)")
 		maxBody      = flag.Int64("max-body", 8<<20, "request body cap in bytes")
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request detection deadline")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Minute, "clamp on client-supplied deadlines")
 		maxSessions  = flag.Int("max-sessions", 64, "cap on live interactive sessions")
 		maxStreams   = flag.Int("max-streams", 256, "cap on live streaming detectors")
 		tenantQuota  = flag.Int("max-streams-per-tenant", 0, "per-tenant cap on live streams (tenant = id prefix before '/'; 0 disables)")
-		shards       = flag.Int("stream-shards", 0, "stream registry shard count (0 keeps the server default)")
-		mailbox      = flag.Int("stream-mailbox", 0, "per-shard mailbox depth; a full mailbox sheds with 429 (0 keeps the server default)")
 		hopTimeout   = flag.Duration("stream-hop-timeout", 0, "per-hop analysis deadline inside streaming detectors (0 disables)")
 		sessionTTL   = flag.Duration("session-ttl", 10*time.Minute, "idle session eviction horizon")
 		streamTTL    = flag.Duration("stream-ttl", 10*time.Minute, "idle stream eviction horizon")
@@ -67,8 +66,6 @@ func main() {
 		MaxSessions:         *maxSessions,
 		MaxStreams:          *maxStreams,
 		MaxStreamsPerTenant: *tenantQuota,
-		StreamShards:        *shards,
-		StreamMailbox:       *mailbox,
 		StreamHopTimeout:    *hopTimeout,
 		SessionTTL:          *sessionTTL,
 		StreamTTL:           *streamTTL,
@@ -109,7 +106,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	// Stop accepting and finish in-flight requests first, then drain the
-	// server's own goroutines (sessions, workers, janitor).
+	// server's own goroutines (sessions, janitor).
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("cabd-serve: listener shutdown: %v", err)
 	}

@@ -78,8 +78,7 @@ func (c ServeConfig) defaults() ServeConfig {
 type ServeSaturation struct {
 	Burst int `json:"burst"`
 	// Shed counts client-observed 429 replies; ShedCounter is the
-	// server's own http_shed_total, which also covers queue-full
-	// admissions inside accepted requests.
+	// server's own http_shed_total, which counts every 429 once.
 	Shed        int   `json:"shed"`
 	ShedCounter int64 `json:"shed_counter"`
 	// RetryAfterSeconds is the largest backoff hint observed.

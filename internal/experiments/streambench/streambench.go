@@ -2,7 +2,7 @@
 // cost per window size and its flatness over stream position, the
 // checkpoint/resume contract (a stream resumed from a JSON-round-tripped
 // State emits what the uninterrupted stream emits), many-stream memory
-// bounds, and the sharded stream registry over loopback HTTP. Like
+// bounds, and the server's stream registry over loopback HTTP. Like
 // servebench it lives beside internal/experiments because it imports the
 // cabd facade and internal/server.
 package streambench
@@ -109,7 +109,7 @@ type ScaleResult struct {
 }
 
 // RegistryResult is the HTTP leg: concurrent NDJSON ingest through the
-// sharded stream registry.
+// server's stream registry.
 type RegistryResult struct {
 	Streams      int     `json:"streams"`
 	Concurrency  int     `json:"concurrency"`
@@ -266,7 +266,7 @@ func scaleLeg(streams, perStream int) ScaleResult {
 	return res
 }
 
-// registryLeg drives the sharded stream registry over loopback HTTP:
+// registryLeg drives the server's stream registry over loopback HTTP:
 // Conc clients push NDJSON batches into Registry distinct streams, then
 // close them all.
 func registryLeg(streams, conc int) RegistryResult {

@@ -78,8 +78,8 @@ const (
 	CounterBatchSeries
 	CounterBatchFailures
 	// CounterHTTPRequests counts HTTP requests served by internal/server;
-	// CounterHTTPShed counts the ones rejected with 429 because the
-	// worker-pool queue (or a session/stream cap) was full.
+	// CounterHTTPShed counts the ones answered 429, once each: the
+	// worker-pool queue was full, or a session or stream cap was reached.
 	CounterHTTPRequests
 	CounterHTTPShed
 	// CounterIdleEvictions counts streaming detectors and labeling
@@ -145,8 +145,9 @@ const (
 	// GaugeStreamWindow is the current fill of the streaming analysis
 	// window.
 	GaugeStreamWindow
-	// GaugeQueueDepth is the number of requests parked in the serving
-	// worker-pool queue.
+	// GaugeQueueDepth is the number of callers waiting for a serving
+	// worker-pool slot: detects, stream pushes and closes, and session
+	// rounds.
 	GaugeQueueDepth
 	// GaugeSessionsActive / GaugeStreamsActive count live labeling
 	// sessions and streaming detectors held by the server.

@@ -7,10 +7,10 @@ import (
 	"cabd/httpapi"
 )
 
-// handleDetect runs one unsupervised detection on the worker pool.
-// The request deadline (options.timeout_ms, clamped) bounds the run and
-// arms the detector's graceful degradation; a full queue sheds with
-// 429 + Retry-After.
+// handleDetect runs one unsupervised detection under a pool slot.
+// The request deadline (options.timeout_ms, clamped) bounds the run,
+// its wait for the slot included, and arms the detector's graceful
+// degradation; a full queue sheds with 429 + Retry-After.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -44,8 +44,8 @@ func (s *Server) handleDetectMulti(w http.ResponseWriter, r *http.Request) {
 	s.detect(w, r, req.Options, req.Channels)
 }
 
-// detect runs one unsupervised detection over chans as a pool job and
-// writes the reply: one channel is a univariate series, more are a
+// detect runs one unsupervised detection over chans under a pool slot
+// and writes the reply: one channel is a univariate series, more are a
 // multivariate one.
 func (s *Server) detect(w http.ResponseWriter, r *http.Request, wire *httpapi.DetectOptions, chans [][]float64) {
 	opts, err := parseOptions(wire)
@@ -58,23 +58,22 @@ func (s *Server) detect(w http.ResponseWriter, r *http.Request, wire *httpapi.De
 	det := s.multiDetectorFor(opts)
 	var res *cabd.Result
 	var detErr error
-	if perr := s.pool.run(func() {
+	if perr := s.pool.run(ctx, func() {
 		res, detErr = det.DetectCtx(ctx, chans)
 	}); perr != nil {
-		s.writeShed(w, perr.Error())
-		return
+		detErr = perr
 	}
 	if detErr != nil {
-		s.writeError(w, errStatus(detErr), detErr.Error())
+		s.writeFailure(w, detErr)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, toWire(res))
 }
 
-// handleDetectBatch runs a whole series set through DetectBatchCtx as a
-// single pool job (the batch fans out over its own internal workers;
-// admission control here is per request, so one giant batch cannot
-// starve the queue accounting).
+// handleDetectBatch runs a whole series set through DetectBatchCtx
+// under a single pool slot (the batch fans out over its own internal
+// workers; admission control here is per request, so one giant batch
+// cannot starve the queue accounting).
 func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -94,10 +93,10 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	det := s.detectorFor(opts)
 	var results []*cabd.Result
 	var errs []error
-	if perr := s.pool.run(func() {
+	if perr := s.pool.run(ctx, func() {
 		results, errs = det.DetectBatchCtx(ctx, req.SeriesSet)
 	}); perr != nil {
-		s.writeShed(w, perr.Error())
+		s.writeFailure(w, perr)
 		return
 	}
 	out := httpapi.BatchDetectResponse{

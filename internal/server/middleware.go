@@ -52,12 +52,27 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, httpapi.ErrorResponse{Error: msg})
 }
 
-// writeShed renders a 429 backpressure reply with Retry-After.
+// writeShed renders a 429 backpressure reply with Retry-After. Every
+// 429 goes through here, so this is where http_shed_total counts.
 func (s *Server) writeShed(w http.ResponseWriter, msg string) {
+	s.rec.Add(obs.CounterHTTPShed, 1)
 	sec := s.pool.retryAfterSeconds()
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
 	s.writeJSON(w, http.StatusTooManyRequests,
 		httpapi.ErrorResponse{Error: msg, RetryAfterSeconds: sec})
+}
+
+// writeFailure answers a refused or failed computation: a full queue
+// and the stream caps shed with 429, anything else takes errStatus's
+// status.
+func (s *Server) writeFailure(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errSaturated), errors.Is(err, errStreamsFull),
+		errors.Is(err, errTenantQuota):
+		s.writeShed(w, err.Error())
+	default:
+		s.writeError(w, errStatus(err), err.Error())
+	}
 }
 
 // readJSON decodes the request body into v behind a MaxBytesReader cap.

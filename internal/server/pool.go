@@ -1,91 +1,87 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"sync"
 
 	"cabd/internal/obs"
 )
 
-// errSaturated is the backpressure signal: the queue behind the workers
-// is full and the request must be shed (429 + Retry-After) rather than
-// parked unboundedly.
+// errSaturated is the backpressure signal: QueueDepth callers already
+// wait for a worker slot, so the request must be shed (429 +
+// Retry-After) rather than parked unboundedly.
 var errSaturated = errors.New("server saturated: worker queue full")
 
-// pool is the bounded detection worker pool. Admission is a single
-// non-blocking channel send: either the job fits in the queue or the
-// caller sheds it immediately — there is no unbounded buffering layer
-// anywhere between the listener and the workers.
+// pool is the server's one budget for detector work: a counting
+// semaphore of Workers slots. Every detector computation — a detect, a
+// batch, a stream push or close, each session round — holds a slot
+// while it runs on its caller's goroutine, so at most Workers of them
+// run at once whichever path they came in on.
 type pool struct {
-	rec      *obs.Recorder
-	workers  int
-	jobs     chan func()
-	done     chan struct{}
-	stopOnce sync.Once
+	rec     *obs.Recorder
+	workers int
+	depth   int
+	slots   chan struct{} // a semaphore: one token per held slot
+
+	mu      sync.Mutex
+	waiting int // callers parked in acquire, on every path
 }
 
 func newPool(workers, depth int, rec *obs.Recorder) *pool {
-	p := &pool{
-		rec:     rec,
-		workers: workers,
-		jobs:    make(chan func(), depth),
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &pool{rec: rec, workers: workers, depth: depth, slots: make(chan struct{}, workers)}
 }
 
-func (p *pool) worker() {
-	for job := range p.jobs {
-		p.rec.SetGauge(obs.GaugeQueueDepth, int64(len(p.jobs)))
-		job()
-	}
-	p.done <- struct{}{}
-}
-
-// trySubmit enqueues job if the queue has room, reporting whether it was
-// admitted. A shed is counted on the recorder.
-func (p *pool) trySubmit(job func()) bool {
+// acquire takes a slot, waiting for one if all are held. A request
+// (shed true) gets errSaturated instead once QueueDepth callers already
+// wait; a session (shed false) always waits, because MaxSessions has
+// already admitted it. If ctx ends first, acquire returns ctx's error
+// and holds no slot. Every nil return must be paired with one release.
+func (p *pool) acquire(ctx context.Context, shed bool) error {
 	select {
-	case p.jobs <- job:
-		p.rec.SetGauge(obs.GaugeQueueDepth, int64(len(p.jobs)))
-		return true
+	case p.slots <- struct{}{}:
+		return nil
 	default:
-		p.rec.Add(obs.CounterHTTPShed, 1)
-		return false
 	}
-}
-
-// run executes f on the pool and waits for it to finish. It returns
-// errSaturated when the queue is full. Cancellation is f's own job: the
-// detection context passed into f makes it return promptly, so waiting
-// on completion here cannot wedge.
-func (p *pool) run(f func()) error {
-	fin := make(chan struct{})
-	if !p.trySubmit(func() {
-		defer close(fin)
-		f()
-	}) {
+	p.mu.Lock()
+	if shed && p.waiting >= p.depth {
+		p.mu.Unlock()
 		return errSaturated
 	}
-	<-fin
-	return nil
+	p.queue(1)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.queue(-1)
+		p.mu.Unlock()
+	}()
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
-// close drains the queue and waits for every worker to exit. Admission
-// (trySubmit) must have stopped before calling it. Idempotent, so a
-// deferred Close after an explicit Drain (the restart tests' shape) is
-// harmless.
-func (p *pool) close() {
-	p.stopOnce.Do(func() {
-		close(p.jobs)
-		for i := 0; i < p.workers; i++ {
-			<-p.done
-		}
-		p.rec.SetGauge(obs.GaugeQueueDepth, 0)
-	})
+// queue moves the waiting count by delta and publishes it as the
+// queue_depth gauge. p.mu must be held.
+func (p *pool) queue(delta int) {
+	p.waiting += delta
+	p.rec.SetGauge(obs.GaugeQueueDepth, int64(p.waiting))
+}
+
+// release gives back a slot taken by acquire.
+func (p *pool) release() { <-p.slots }
+
+// run holds a slot (shedding as a request) while f runs on the
+// caller's goroutine. A panic in f still gives the slot back.
+func (p *pool) run(ctx context.Context, f func()) error {
+	if err := p.acquire(ctx, true); err != nil {
+		return err
+	}
+	defer p.release()
+	f()
+	return nil
 }
 
 // retryAfterSeconds estimates how long a shed client should back off:
@@ -93,10 +89,9 @@ func (p *pool) close() {
 // estimate is deliberately coarse — its job is to spread retries, not
 // to predict latency.
 func (p *pool) retryAfterSeconds() int {
-	depth := len(p.jobs)
-	if p.workers <= 0 {
-		return 1
-	}
+	p.mu.Lock()
+	depth := p.waiting
+	p.mu.Unlock()
 	sec := depth / p.workers
 	if sec < 1 {
 		sec = 1

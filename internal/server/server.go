@@ -5,10 +5,7 @@
 //
 // Three request families share one server:
 //
-//   - one-shot detection (POST /v1/detect, /v1/detect/batch), executed
-//     on a bounded worker pool with queue-depth backpressure — a full
-//     queue sheds load with 429 + Retry-After instead of queueing
-//     unboundedly;
+//   - one-shot detection (POST /v1/detect, /v1/detect/batch);
 //   - streaming ingest (POST /v1/stream/{id}, NDJSON observations),
 //     backed by per-id StreamDetector instances with idle eviction;
 //   - interactive labeling sessions (/v1/sessions...), the paper's
@@ -16,6 +13,11 @@
 //     a server-side goroutine, parks on a channel-backed labeler, and
 //     surfaces the uncertainty-sampled candidate it wants labeled until
 //     every candidate clears the confidence γ.
+//
+// All three share one budget: every detector computation (a detect, a
+// stream push or close, a session round) holds one of Workers pool
+// slots while it runs, and a request sheds with 429 + Retry-After once
+// QueueDepth callers already wait, instead of queueing unboundedly.
 //
 // All time is read through the injectable obs.Clock of the server's
 // recorder, so handler tests pin latencies, evictions and deadline
@@ -38,10 +40,16 @@ type Config struct {
 	// overlay it. Options.Obs is overwritten with the server's recorder.
 	Options cabd.Options
 
-	// Workers is the detection worker-pool size (default 4).
+	// Workers is the number of detector computations that run at once
+	// (default 4). A detect or batch request, a stream push or close,
+	// and each round of an interactive session holds one slot while it
+	// computes; a session gives its slot back while it waits for a
+	// label.
 	Workers int
-	// QueueDepth bounds the number of detection requests parked behind
-	// busy workers; a full queue sheds with 429 (default 64).
+	// QueueDepth bounds the callers waiting for a slot: once that many
+	// wait, the next detect, batch, stream push or close sheds with 429
+	// (default 64). Session rounds count as waiting but never shed,
+	// since MaxSessions has already admitted the session.
 	QueueDepth int
 	// MaxBodyBytes caps every request body (default 8 MiB).
 	MaxBodyBytes int64
@@ -62,13 +70,6 @@ type Config struct {
 	// "acme"), or the whole id for unscoped names. Zero disables the
 	// per-tenant quota.
 	MaxStreamsPerTenant int
-	// StreamShards is the number of stream-registry shards: stream ids
-	// map onto shards by consistent hashing, and each shard runs its
-	// streams on a dedicated goroutine behind a bounded mailbox (default
-	// 8). StreamMailbox is that mailbox's depth (default 32); a full
-	// mailbox sheds the request with 429.
-	StreamShards  int
-	StreamMailbox int
 	// StreamHopTimeout bounds one streaming analysis (zero: unbounded).
 	StreamHopTimeout time.Duration
 	// SessionTTL / StreamTTL are the idle-eviction horizons: a session
@@ -128,12 +129,6 @@ func (c Config) defaults() Config {
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 256
 	}
-	if c.StreamShards <= 0 {
-		c.StreamShards = 8
-	}
-	if c.StreamMailbox <= 0 {
-		c.StreamMailbox = 32
-	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 10 * time.Minute
 	}
@@ -172,8 +167,8 @@ type Server struct {
 // New returns a ready-to-serve Server. With a CheckpointDir it first
 // restores persisted state — the ingest journal and every checkpointed
 // session — and fails rather than serve over state it could not read.
-// Call Close (or Drain) when done to release the worker pool and the
-// janitor.
+// Call Close (or Drain) when done to stop the janitor and the session
+// goroutines.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.defaults()
 	s := &Server{
@@ -186,16 +181,12 @@ func New(cfg Config) (*Server, error) {
 	s.sessions = newSessionTable(s)
 	ing, err := newIngestStore(cfg.CheckpointDir)
 	if err != nil {
-		s.streams.closeAll()
-		s.pool.close()
 		return nil, err
 	}
 	s.ingest = ing
 	if cfg.CheckpointDir != "" {
 		if err := s.sessions.restore(cfg.CheckpointDir); err != nil {
 			s.ingest.close()
-			s.streams.closeAll()
-			s.pool.close()
 			return nil, err
 		}
 	}
@@ -264,11 +255,13 @@ func (s *Server) setDraining() {
 	s.mu.Unlock()
 }
 
-// Drain gracefully shuts the server down: mark not-ready, cancel every
-// live session, flush-close every stream, stop the janitor, and wait —
-// bounded by ctx — for the worker pool and session goroutines to
-// finish. The HTTP listener must already have stopped accepting (e.g.
-// http.Server.Shutdown) so no new work races the drain.
+// Drain gracefully shuts the server down: mark not-ready, stop the
+// janitor, cancel every live session, drop every stream without
+// flushing it, and wait — bounded by ctx — for the session goroutines
+// to finish before closing the ingest journal. Detector work runs on
+// request goroutines, so the HTTP listener must already have stopped
+// accepting and finished its in-flight requests (e.g.
+// http.Server.Shutdown): no new work races the drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.setDraining()
 	if s.janitorStop != nil {
@@ -281,7 +274,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.sessions.wait()
-		s.pool.close()
 		s.ingest.close()
 		close(done)
 	}()

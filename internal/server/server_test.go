@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -375,28 +377,126 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL)
-	ctx := context.Background()
 
-	if err := srv.Drain(ctx); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/readyz", ""},
+		{http.MethodPost, "/v1/detect", `{"series":[1,2,3,4,5]}`},
+		{http.MethodPost, "/v1/detect/batch", `{"series_set":[[1,2,3,4,5]]}`},
+		{http.MethodPost, "/v1/detect/multi", `{"channels":[[1,2,3,4,5]]}`},
+		{http.MethodPost, "/v1/stream/x", "1\n"},
+		{http.MethodDelete, "/v1/stream/x", ""},
+		{http.MethodPost, "/v1/sessions", `{"series":[1,2,3,4,5]}`},
+		{http.MethodPost, "/v1/ingest", `{"agent":"a1","detections":[]}`},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewBufferString(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s while draining = %d, want 503", c.method, c.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestDetectBatchMatchesDetect: /v1/detect/batch answers each series
+// as /v1/detect does, apart from the stage timings, and a series that
+// cannot be detected gets its own error entry without failing the rest.
+func TestDetectBatchMatchesDetect(t *testing.T) {
+	_, _, cl := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	set := [][]float64{synth.YahooLike(4, 300).Values, {1, 2}, synth.YahooLike(5, 300).Values}
+	batch, err := cl.DetectBatch(ctx, set, nil)
+	if err != nil {
+		t.Fatalf("DetectBatch: %v", err)
+	}
+	if len(batch.Results) != len(set) || len(batch.Errors) != len(set) {
+		t.Fatalf("batch reply has %d results and %d errors for %d series",
+			len(batch.Results), len(batch.Errors), len(set))
+	}
+	if got, want := batch.Errors[1], "sanitize: series too short (2 < 4)"; got != want {
+		t.Errorf("short series error = %q, want %q", got, want)
+	}
+	for _, i := range []int{0, 2} {
+		if batch.Errors[i] != "" {
+			t.Fatalf("series %d: unexpected error %q", i, batch.Errors[i])
+		}
+		one, err := cl.Detect(ctx, set[i], nil)
+		if err != nil {
+			t.Fatalf("series %d: Detect: %v", i, err)
+		}
+		got := batch.Results[i]
+		if len(got.Anomalies)+len(got.ChangePoints) == 0 {
+			t.Fatalf("series %d: the fixture must detect something", i)
+		}
+		got.StageSeconds, one.StageSeconds = nil, nil
+		if !reflect.DeepEqual(&got, one) {
+			t.Errorf("series %d: batch result differs from /v1/detect\n got %+v\nwant %+v", i, got, *one)
+		}
+	}
+}
+
+// TestSessionList: GET /v1/sessions lists the live sessions, sorted by
+// id; a cancelled one is gone from the list.
+func TestSessionList(t *testing.T) {
+	_, _, cl := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	vals := synth.YahooLike(11, 400).Values
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, err := cl.CreateSession(ctx, httpapi.SessionRequest{Series: vals})
+		if err != nil {
+			t.Fatalf("create session %d: %v", i, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if err := cl.CancelSession(ctx, ids[1]); err != nil {
+		t.Fatalf("cancel %s: %v", ids[1], err)
+	}
+	list, err := cl.Sessions(ctx)
+	if err != nil {
+		t.Fatalf("Sessions: %v", err)
+	}
+	var got []string
+	for _, st := range list.Sessions {
+		got = append(got, st.ID)
+	}
+	want := []string{ids[0], ids[2]}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("listed sessions %v, want %v", got, want)
+	}
+}
+
+// TestStreamCapShedsOverHTTP: a push that would open a stream past
+// MaxStreams answers 429 with Retry-After, and counts as one shed.
+func TestStreamCapShedsOverHTTP(t *testing.T) {
+	srv, ts, cl := newTestServer(t, server.Config{MaxStreams: 1})
+	if _, err := cl.StreamPush(context.Background(), "a", []float64{1}); err != nil {
+		t.Fatalf("push within the cap: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/stream/b", "application/x-ndjson", bytes.NewBufferString("1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while draining = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("push past the stream cap = %d, want 429", resp.StatusCode)
 	}
-	if _, err := cl.Detect(ctx, []float64{1, 2, 3}, nil); err == nil {
-		t.Fatal("detect admitted while draining")
+	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
+		t.Errorf("Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
 	}
-	if _, err := cl.CreateSession(ctx, httpapi.SessionRequest{Series: []float64{1, 2, 3}}); err == nil {
-		t.Fatal("session admitted while draining")
-	}
-	if _, err := cl.StreamPush(ctx, "x", []float64{1}); err == nil {
-		t.Fatal("stream push admitted while draining")
+	if got := srv.Recorder().Count(obs.CounterHTTPShed); got != 1 {
+		t.Errorf("http_shed_total = %d, want 1", got)
 	}
 }
 

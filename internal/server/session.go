@@ -20,11 +20,11 @@ import (
 
 // session is one interactive active-learning run — the paper's
 // user-driven loop (Algorithm 2 line 5 / Algorithm 4) lifted over HTTP.
-// DetectInteractiveCtx runs in a dedicated goroutine; each uncertainty-
-// sampled query parks the goroutine on a channel-backed labeler until a
-// label arrives via POST .../labels, and the run resumes until every
-// candidate clears the configured confidence γ (or the query budget
-// runs out).
+// DetectInteractiveCtx runs in a dedicated goroutine under a pool slot;
+// each uncertainty-sampled query gives the slot back and parks the
+// goroutine on a channel-backed labeler until a label arrives via POST
+// .../labels, and the run resumes until every candidate clears the
+// configured confidence γ (or the query budget runs out).
 type session struct {
 	id     string
 	srv    *Server
@@ -81,7 +81,6 @@ func (t *sessionTable) create(req httpapi.SessionRequest, opts *detectOptions, t
 	t.mu.Lock()
 	if len(t.m) >= t.srv.cfg.MaxSessions {
 		t.mu.Unlock()
-		t.srv.rec.Add(obs.CounterHTTPShed, 1)
 		return nil, errSessionsFull
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,29 +178,9 @@ func (t *sessionTable) cancelAll() {
 // wait blocks until every session goroutine has exited.
 func (t *sessionTable) wait() { t.wg.Wait() }
 
-// run executes the interactive pipeline. With ground truth the oracle
-// answers queries inline (load-testing mode); otherwise each query
-// first consults the replay map (labels restored from a checkpoint —
-// the deterministic pipeline re-asks the same indices, so a restored
-// session fast-forwards through them) and only then parks on the
-// channel labeler until a client posts the label.
+// run executes the interactive pipeline and records its verdict.
 func (s *session) run(ctx context.Context, det *cabd.Detector, vals []float64, truth []series.Label) {
-	var label func(i int) cabd.Label
-	if truth != nil {
-		orc := oracle.New(&series.Series{Name: "session", Values: vals, Labels: truth})
-		label = func(i int) cabd.Label {
-			s.noteQuery()
-			return cabd.Label(orc.Label(i))
-		}
-	} else {
-		label = func(i int) cabd.Label {
-			if lbl, ok := s.replayLabel(i); ok {
-				return lbl
-			}
-			return s.await(ctx, vals, i)
-		}
-	}
-	res, err := det.DetectInteractiveCtx(ctx, vals, label)
+	res, err := s.interact(ctx, det, vals, truth)
 
 	s.mu.Lock()
 	s.pending = nil
@@ -227,6 +206,55 @@ func (s *session) run(ctx context.Context, det *cabd.Detector, vals []float64, t
 		s.srv.checkpointSession(s)
 	}
 	close(s.done)
+}
+
+// interact runs DetectInteractiveCtx holding a pool slot. With ground
+// truth the oracle answers queries inline (load-testing mode) and the
+// slot is kept throughout; otherwise each query first consults the
+// replay map (labels restored from a checkpoint — the deterministic
+// pipeline re-asks the same indices, so a restored session
+// fast-forwards through them, slot held) and only then gives the slot
+// back and parks on the channel labeler until a client posts the
+// label, taking a slot again before the next round.
+func (s *session) interact(ctx context.Context, det *cabd.Detector, vals []float64, truth []series.Label) (*cabd.Result, error) {
+	pool := s.srv.pool
+	if err := pool.acquire(ctx, false); err != nil {
+		return nil, err
+	}
+	// held is read and written only on this goroutine: the labeler runs
+	// inside DetectInteractiveCtx.
+	held := true
+	defer func() {
+		if held {
+			pool.release()
+		}
+	}()
+	var label func(i int) cabd.Label
+	if truth != nil {
+		orc := oracle.New(&series.Series{Name: "session", Values: vals, Labels: truth})
+		label = func(i int) cabd.Label {
+			s.noteQuery()
+			return cabd.Label(orc.Label(i))
+		}
+	} else {
+		label = func(i int) cabd.Label {
+			if lbl, ok := s.replayLabel(i); ok {
+				return lbl
+			}
+			if held {
+				pool.release()
+				held = false
+			}
+			lbl := s.await(ctx, vals, i)
+			// A cancel can interrupt this wait. The round that follows
+			// (one forest retrain: core checks ctx only between rounds)
+			// then runs without a slot, the one computation outside the
+			// budget, and only after a cancel.
+			held = pool.acquire(ctx, false) == nil
+			return lbl
+		}
+	}
+	return det.DetectInteractiveCtx(ctx, vals, label)
 }
 
 // replayLabel answers a restored query from the checkpoint's recorded

@@ -21,8 +21,8 @@ type streamObservation struct {
 // the path id, creating it on first use, and answers with the
 // detections confirmed during this request. The body is parsed as a
 // sequence of JSON values (newline-delimited or whitespace-separated),
-// capped by MaxBytesReader; parsing happens on the request goroutine so
-// only the detector work crosses into the owning shard.
+// capped by MaxBytesReader; parsing happens before the push takes its
+// pool slot, so only the detector work holds one.
 func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -57,9 +57,9 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		values = append(values, v)
 	}
 
-	res, err := s.streams.push(id, values, s.clock.Now())
+	res, err := s.streams.push(r.Context(), id, values, s.clock.Now())
 	if err != nil {
-		s.writeStreamError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, httpapi.StreamIngestResponse{
@@ -74,14 +74,18 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 // handleStreamClose flushes the stream (final analysis with no trailing
 // margin), returns the remaining detections and evicts it.
 func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
+	if s.Draining() {
+		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
 	id := r.PathValue("id")
-	res, err := s.streams.close(id)
+	res, err := s.streams.close(r.Context(), id)
 	if err != nil {
 		if errors.Is(err, errStreamNotFound) {
 			s.writeError(w, http.StatusNotFound, fmt.Sprintf("stream %q not found", id))
 			return
 		}
-		s.writeStreamError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, httpapi.StreamIngestResponse{
@@ -91,21 +95,6 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		Detections: wireStreamDetections(res.dets),
 		Flushed:    true,
 	})
-}
-
-// writeStreamError maps registry errors to HTTP: capacity and mailbox
-// saturation shed with 429, a stopped shard means the server is
-// draining, anything else (a contained shard panic) is a 500.
-func (s *Server) writeStreamError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errStreamsFull), errors.Is(err, errStreamMailboxFull),
-		errors.Is(err, errTenantQuota):
-		s.writeShed(w, err.Error())
-	case errors.Is(err, errShardStopped):
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
-	default:
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-	}
 }
 
 // parseObservation accepts a bare JSON number or {"v": number}.
