@@ -332,9 +332,10 @@ type rowClassifier func(d *Detector, cands []Candidate, width int, y []int, w []
 // candidate's own training label; queried candidates keep their oracle
 // label with full confidence.
 //
-// It trains over the SoA feature matrix with per-tree parallelism and
-// classifies all candidates through one fused tree-major pass (full and
-// out-of-bag distributions together).
+// It trains over the SoA feature matrix with per-tree parallelism. The
+// candidates are the training rows, so their full and out-of-bag
+// distributions come from the leaves training recorded for them; no
+// tree is walked again.
 func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) {
 	n := len(cands)
 	if cap(scr.y) < n {
@@ -380,7 +381,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 	if fr == nil {
 		return
 	}
-	scr.full, scr.oob = fr.PredictProbaAndOOB(m, scr.full, scr.oob)
+	scr.full, scr.oob = fr.TrainingProba(scr.full, scr.oob)
 	for i := range cands {
 		if cls, ok := trueLabels[i]; ok {
 			cands[i].Class = cls

@@ -91,8 +91,6 @@ func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	X, y := gaussData(rng, 300, 4, 3)
 	f := TrainWeighted(X, y, nil, Config{Trees: 30, NumClasses: 3}, rand.New(rand.NewSource(2)))
 
-	// As many rows as the training set, so the fused pass below has an
-	// in-bag mask entry for every row.
 	probe := make([][]float64, 0, len(X))
 	probe = append(probe, X[:240]...)
 	probe = append(probe,
@@ -125,23 +123,16 @@ func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 			}
 		}
 		// Buffer reuse must not leak previous contents.
+		for i := range batch {
+			batch[i] = -1
+		}
 		again := f.PredictProbaBatch(m, batch)
 		if &again[0] != &batch[0] {
 			t.Fatal("batch buffer was reallocated despite sufficient capacity")
 		}
-		// The fused pass's full distribution is the same per-row oracle,
-		// and it reuses both buffers (filled with stale values here).
-		for i := range again {
-			again[i] = -1
-		}
-		oobBuf := make([]float64, len(again))
-		full, oob := f.PredictProbaAndOOB(m, again, oobBuf)
-		if &full[0] != &again[0] || &oob[0] != &oobBuf[0] {
-			t.Fatal("fused pass reallocated buffers despite sufficient capacity")
-		}
 		for i := range probe {
-			if got := full[i*3 : i*3+3]; !same(got, i) {
-				t.Fatalf("procs=%d row %d: fused full %v, per-row %v", procs, i, got, want[i])
+			if got := again[i*3 : i*3+3]; !same(got, i) {
+				t.Fatalf("procs=%d row %d: reused batch %v, per-row %v", procs, i, got, want[i])
 			}
 		}
 	})
@@ -170,20 +161,111 @@ func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
 	m := RowMajor(X)
 	atProcs(func(procs int) {
 		batch := f.PredictProbaOOBBatch(m, nil)
-		full, oob := f.PredictProbaAndOOB(m, nil, nil)
 		for i, row := range X {
 			want := f.PredictProbaOOB(i, row)
-			wantFull := f.PredictProba(row)
-			got, gotOOB, gotFull := batch[i*2:i*2+2], oob[i*2:i*2+2], full[i*2:i*2+2]
+			got := batch[i*2 : i*2+2]
 			//cabd:lint-ignore floateq the batch contract is bit-identity with the per-row oracle
 			if got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("procs=%d row %d: batch %v, per-row %v", procs, i, got, want)
 			}
-			//cabd:lint-ignore floateq the fused contract is bit-identity with the per-row oracles
-			if gotOOB[0] != want[0] || gotOOB[1] != want[1] || gotFull[0] != wantFull[0] || gotFull[1] != wantFull[1] {
-				t.Fatalf("procs=%d row %d: fused oob %v full %v, per-row %v %v", procs, i, gotOOB, gotFull, want, wantFull)
+		}
+	})
+}
+
+// sameBits reports whether got and want hold the same float64 bits.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for c := range want {
+		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkTrainingProba holds f's recorded training distributions to the
+// per-row oracles PredictProba and PredictProbaOOB on every training row
+// of m, bit for bit.
+func checkTrainingProba(t *testing.T, f *Forest, m Matrix, full, oob []float64) {
+	t.Helper()
+	k := f.NumClasses()
+	if len(full) != m.N*k || len(oob) != m.N*k {
+		t.Fatalf("TrainingProba lengths %d and %d, want %d", len(full), len(oob), m.N*k)
+	}
+	row := make([]float64, len(m.Cols))
+	for i := 0; i < m.N; i++ {
+		for c, col := range m.Cols {
+			row[c] = col[i]
+		}
+		want, wantOOB := f.PredictProba(row), f.PredictProbaOOB(i, row)
+		got, gotOOB := full[i*k:(i+1)*k], oob[i*k:(i+1)*k]
+		if !sameBits(got, want) || !sameBits(gotOOB, wantOOB) {
+			t.Fatalf("row %d %v: recorded full %v oob %v, per-row %v %v", i, row, got, gotOOB, want, wantOOB)
+		}
+	}
+}
+
+// nanColumns overwrites none, a third, two thirds or all of each
+// column's values with NaN.
+func nanColumns(rng *rand.Rand, m Matrix) {
+	for _, col := range m.Cols {
+		share := rng.Intn(4)
+		for i := range col {
+			if rng.Intn(3) < share {
+				col[i] = math.NaN()
 			}
 		}
+	}
+}
+
+// TestRecordedLeavesMatchPerRow is the differential of the recorded
+// training distributions: on every training row, TrainingProba must
+// equal the per-row oracles PredictProba and PredictProbaOOB bit for
+// bit. The problems are diffCase's, half of them with NaN columns (NaN
+// goes right in the builder and in the tree walk alike, so diffCase's
+// sort caveat does not apply), and one with a row every tree drew (the
+// voters == 0 fallback). Training runs at GOMAXPROCS 1, 2 and 8, so
+// concurrent tree builders write their own slices of the leaf record.
+func TestRecordedLeavesMatchPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	atProcs(func(procs int) {
+		for trial := 0; trial < 120; trial++ {
+			m, y, w, cfg := diffCase(rng)
+			if trial%2 == 1 {
+				nanColumns(rng, m)
+			}
+			f := TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(rng.Int63())))
+			full, oob := f.TrainingProba(nil, nil)
+			checkTrainingProba(t, f, m, full, oob)
+		}
+	})
+
+	const heavy = 250
+	X, y := gaussData(rand.New(rand.NewSource(11)), 300, 4, 2)
+	w := make([]float64, len(X))
+	for i := range w {
+		w[i] = 1
+	}
+	w[heavy] = 1e9 // in (essentially) every bag -> OOB fallback path
+	m := RowMajor(X)
+	atProcs(func(procs int) {
+		f := TrainMatrixWeighted(m, y, w, Config{Trees: 20, NumClasses: 2}, rand.New(rand.NewSource(4)))
+		if f.voters(heavy) != 0 {
+			t.Fatal("fixture never exercised the voters==0 fallback; raise the weight")
+		}
+		full, oob := f.TrainingProba(nil, nil)
+		checkTrainingProba(t, f, m, full, oob)
+		// Reused buffers holding stale values give the same bits.
+		for i := range full {
+			full[i], oob[i] = -1, -1
+		}
+		full2, oob2 := f.TrainingProba(full, oob)
+		if &full2[0] != &full[0] || &oob2[0] != &oob[0] {
+			t.Fatal("TrainingProba reallocated buffers despite sufficient capacity")
+		}
+		checkTrainingProba(t, f, m, full2, oob2)
 	})
 }
 
@@ -213,7 +295,7 @@ func TestPredictAllocBudget(t *testing.T) {
 		X, y := gaussData(rand.New(rand.NewSource(17)), shape.rows, 4, 3)
 		f := TrainWeighted(X, y, nil, Config{Trees: shape.trees, NumClasses: 3}, rand.New(rand.NewSource(5)))
 		m := RowMajor(X)
-		full, oob := f.PredictProbaAndOOB(m, nil, nil)
+		full, oob := f.TrainingProba(nil, nil)
 		atProcs(func(procs int) {
 			budget := 0
 			if blocks := min(procs, shape.rows/minBlockRows); blocks > 1 {
@@ -222,7 +304,7 @@ func TestPredictAllocBudget(t *testing.T) {
 			for name, call := range map[string]func(){
 				"PredictProbaBatch":    func() { f.PredictProbaBatch(m, full) },
 				"PredictProbaOOBBatch": func() { f.PredictProbaOOBBatch(m, oob) },
-				"PredictProbaAndOOB":   func() { f.PredictProbaAndOOB(m, full, oob) },
+				"TrainingProba":        func() { f.TrainingProba(full, oob) },
 			} {
 				if allocs := allocsPerCall(10, call); allocs > float64(budget) {
 					t.Errorf("%s rows=%d trees=%d procs=%d: %v allocs per call, budget %d",
@@ -250,10 +332,13 @@ func TestPredictProbaBatchEmpty(t *testing.T) {
 
 // FuzzPredictBatch feeds arbitrary (including non-finite) feature values
 // through the tree-major batch pass and demands bit-identity with the
-// per-row oracle on every row.
+// per-row oracle on every row. It also trains on those values, three
+// rows of a small training set, and holds the recorded training
+// distributions to the per-row oracles.
 func FuzzPredictBatch(f *testing.F) {
 	X, y := gaussData(rand.New(rand.NewSource(21)), 150, 4, 3)
 	fr := TrainWeighted(X, y, nil, Config{Trees: 15, NumClasses: 3}, rand.New(rand.NewSource(6)))
+	small, smallY := X[:40:40], y[:40]
 	f.Add(0.0, 1.0, -2.5, 3.75)
 	f.Add(math.NaN(), math.Inf(1), math.Inf(-1), 0.0)
 	f.Add(1e308, -1e308, 5e-324, -0.0)
@@ -275,5 +360,10 @@ func FuzzPredictBatch(f *testing.F) {
 				}
 			}
 		}
+		train := append(append([][]float64(nil), rows...), small[len(rows):]...)
+		m = RowMajor(train)
+		ft := TrainMatrixWeighted(m, smallY, nil, Config{Trees: 7, MinLeaf: 2, NumClasses: 3}, rand.New(rand.NewSource(8)))
+		full, oob := ft.TrainingProba(nil, nil)
+		checkTrainingProba(t, ft, m, full, oob)
 	})
 }

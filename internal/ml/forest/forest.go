@@ -9,16 +9,19 @@
 // Snapshot wire form uses — so inference walks contiguous memory instead
 // of chasing heap pointers, and PredictProbaBatch streams each tree
 // through all rows of a column-major Matrix (tree-major order: the hot
-// node array stays cached while rows advance); PredictProbaAndOOB fills
-// the full and out-of-bag distributions in that one pass. The rows are
-// split into contiguous blocks run on all cores, each row still summing
-// its trees in index order. Training sorts each feature column once and
-// finds every split by sweeping presorted row segments (see builder).
-// It fans the trees out over worker goroutines; every tree draws from a
-// rand stream seeded from the caller's stream before the fan-out, so the
-// ensemble is bit-identical at any worker count (Workers: 1 is the
-// sequential differential oracle). Those per-tree streams are math/rand's
-// generator, reseeded without division (see source).
+// node array stays cached while rows advance). Training sorts each
+// feature column once and grows every tree over the distinct rows its
+// bootstrap drew, each weighted by its draw count (see builder). While
+// it builds a tree it records the leaf every training row lands in, so
+// TrainingProba reads the full and out-of-bag distributions of the
+// training rows without walking a tree. The batch passes split the rows
+// into contiguous blocks run on all cores, each row still summing its
+// trees in index order. Training fans the trees out over worker
+// goroutines; every tree draws from a rand stream seeded from the
+// caller's stream before the fan-out, so the ensemble is bit-identical
+// at any worker count (Workers: 1 is the sequential differential
+// oracle). Those per-tree streams are math/rand's generator, reseeded
+// without division (see source).
 package forest
 
 import (
@@ -67,13 +70,17 @@ func (c *Config) defaults(d int) {
 type Forest struct {
 	trees      []tree
 	inBag      [][]bool // per tree: was training row i in the bootstrap sample
+	leaves     []int32  // per tree, n slots: the offset of training row i's leaf distribution in the tree's probs
+	n          int      // training rows
 	numClasses int
 }
 
 // tree is one CART tree as a flat preorder node array: nodes[0] is the
-// root, children sit strictly after their parent.
+// root, children sit strictly after their parent. The leaves'
+// distributions are consecutive blocks of probs, in preorder.
 type tree struct {
 	nodes []FlatNode
+	probs []float64
 }
 
 // leafFor walks x down to its leaf distribution.
@@ -153,6 +160,14 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 		numClasses: cfg.NumClasses,
 		trees:      make([]tree, cfg.Trees),
 		inBag:      make([][]bool, cfg.Trees),
+		leaves:     make([]int32, cfg.Trees*n),
+		n:          n,
+	}
+	// The in-bag masks share one backing array, as the leaf record does:
+	// tree t owns slots [t*n, (t+1)*n) of both.
+	bags := make([]bool, cfg.Trees*n)
+	for t := range f.inBag {
+		f.inBag[t] = bags[t*n : (t+1)*n : (t+1)*n]
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -164,7 +179,7 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 	if workers <= 1 {
 		b := newBuilder(ts)
 		for t := 0; t < cfg.Trees; t++ {
-			f.trees[t], f.inBag[t] = b.train(seeds[t])
+			f.trees[t] = b.train(seeds[t], f.inBag[t], f.leaves[t*n:(t+1)*n])
 		}
 		return f
 	}
@@ -182,7 +197,7 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 			for t := range ch {
 				// Each slot is written by exactly one goroutine; the
 				// deterministic merge is the tree index itself.
-				f.trees[t], f.inBag[t] = b.train(seeds[t])
+				f.trees[t] = b.train(seeds[t], f.inBag[t], f.leaves[t*n:(t+1)*n])
 			}
 		}()
 	}
@@ -295,30 +310,41 @@ func (g *guide) search(v float64) int {
 
 // builder grows the trees of one worker. Its scratch is sized once from
 // the training set, so a tree allocates only what outlives it: the node
-// array at final size, one backing slice for the leaf distributions, and
-// the in-bag mask.
+// array at final size and one backing slice for the leaf distributions.
 //
-// The rows of a node are kept as one value-sorted segment per feature
-// (seg). The root's segments are the presorted orders expanded by the
-// bootstrap multiplicities; a split stably partitions the segments, so
-// the children's segments stay sorted and the Gini sweep reads them in
-// order — O(d·k) per node instead of a sort per candidate feature. The
-// sweep selects the same split as sorting would, because it scores only
-// boundaries between distinct values, where the left class counts do not
-// depend on the order within ties.
+// A tree is grown over the distinct rows its bootstrap drew, each
+// weighted by its draw count (cnt). The rows of a node are kept as one
+// value-sorted segment per feature (seg), every drawn row once: the
+// root's segments are the presorted orders without the rows the draw
+// missed, and a split stably partitions the segments, so the children's
+// segments stay sorted and the Gini sweep reads them in order — O(d·k)
+// per node instead of a sort per candidate feature. The sweep adds a
+// row's draw count where the expanded sample would add each copy, so
+// every class count, node size, split and leaf is the one the expanded
+// sample gives; it selects the split a sort would, because it scores
+// only boundaries between distinct values, where the left class counts
+// do not depend on the order within ties.
+//
+// The rows the bootstrap missed (oob) follow the splits too, so when a
+// node becomes a leaf, every training row that reaches it is known, and
+// the offset of the leaf's distribution goes into the tree's slice of
+// the leaf record.
 type builder struct {
 	*trainSet
 	rng *rand.Rand // over a source, re-seeded per tree
 
-	cnt   []int32    // bootstrap multiplicity per row
-	seg   []int32    // per feature, n slots: the node-contiguous sorted segments
-	spill []int32    // stable-partition spill buffer
-	left  []int32    // per row: 1 when the split being applied sends it left
-	perm  []int      // per-node feature permutation
-	nodes []FlatNode // current tree under construction (preorder)
-	probs []float64  // leaf distributions of the current tree, in leaf order
-	lc    []int      // left class counts of the sweep
-	tc    []int      // class counts of the node being built
+	cnt    []int32    // bootstrap multiplicity per row; 0 for out-of-bag rows
+	stride int        // distinct rows the current tree drew: the length of each segment
+	seg    []int32    // per feature, stride slots: the node-contiguous sorted segments
+	oob    []int32    // the current tree's out-of-bag rows, node-contiguous
+	spill  []int32    // stable-partition spill buffer
+	left   []int32    // per row: 1 when the split being applied sends it left
+	perm   []int      // per-node feature permutation
+	nodes  []FlatNode // current tree under construction (preorder)
+	probs  []float64  // leaf distributions of the current tree, in leaf order
+	leaves []int32    // the current tree's leaf record: per row, its leaf's offset in probs
+	lc     []int      // left class counts of the sweep
+	tc     []int      // class counts of the node being built
 }
 
 func newBuilder(ts *trainSet) *builder {
@@ -327,8 +353,9 @@ func newBuilder(ts *trainSet) *builder {
 		trainSet: ts,
 		rng:      rand.New(new(source)),
 		cnt:      make([]int32, n),
-		// Three pad slots take the surplus writes of train's expansion.
-		seg:   make([]int32, len(ts.order), len(ts.order)+3),
+		// One pad slot takes the surplus write of train's compaction.
+		seg:   make([]int32, len(ts.order)+1),
+		oob:   make([]int32, n),
 		spill: make([]int32, n),
 		left:  make([]int32, n),
 		perm:  make([]int, len(ts.m.Cols)),
@@ -341,13 +368,14 @@ func newBuilder(ts *trainSet) *builder {
 	}
 }
 
-// train grows the tree seeded by seed: bootstrap-sample the rows, expand
-// the presorted orders by the sampled multiplicities, then build the
-// preorder node array. The returned tree owns its nodes.
-func (b *builder) train(seed int64) (tree, []bool) {
+// train grows the tree seeded by seed: bootstrap-sample the rows, keep
+// the presorted orders' drawn rows, then build the preorder node array.
+// It fills bag (per row: drawn at least once) and leaves (per row: the
+// offset of its leaf's distribution). The returned tree owns its nodes
+// and distributions.
+func (b *builder) train(seed int64, bag []bool, leaves []int32) tree {
 	n := b.m.N
 	b.rng.Seed(seed)
-	bag := make([]bool, n)
 	for i := range b.cnt {
 		b.cnt[i] = 0
 	}
@@ -359,84 +387,88 @@ func (b *builder) train(seed int64) (tree, []bool) {
 			pick = b.rng.Intn(n)
 		}
 		b.cnt[pick]++
-		bag[pick] = true
 	}
-	// Expand the presorted orders by the multiplicities. Each row is
-	// written to the next three slots and the cursor advances by its
-	// count, so the loop does not branch on the (random) count; the
-	// surplus writes land on slots the following rows, the next segment
-	// or the pad past the last segment overwrite.
-	seg := b.seg[:cap(b.seg)]
+	// Branch-free compactions: every row is written at the cursor, which
+	// advances only past the rows kept. A surplus write lands on a slot
+	// a later row, the next segment or the pad overwrites.
+	nOOB := 0
+	for i, c := range b.cnt {
+		bag[i] = c > 0
+		b.oob[nOOB] = int32(i)
+		nOOB += b2i(c == 0)
+	}
+	b.stride = n - nOOB
+	k := 0
 	for s := 0; s < len(b.order); s += n {
-		k := s
 		for _, r := range b.order[s : s+n] {
-			c := int(b.cnt[r])
-			seg[k], seg[k+1], seg[k+2] = r, r, r
-			for j := 3; j < c; j++ {
-				seg[k+j] = r
-			}
-			k += c
+			b.seg[k] = r
+			k += b2i(b.cnt[r] > 0)
 		}
 	}
-	b.nodes, b.probs = b.nodes[:0], b.probs[:0]
-	b.build(0, n, 0)
+	b.nodes, b.probs, b.leaves = b.nodes[:0], b.probs[:0], leaves
+	b.build(0, b.stride, 0, nOOB, 0)
 	nodes := make([]FlatNode, len(b.nodes))
 	copy(nodes, b.nodes)
 	probs := make([]float64, len(b.probs))
 	copy(probs, b.probs)
-	k, off := b.cfg.NumClasses, 0
+	nc, off := b.cfg.NumClasses, 0
 	for i := range nodes {
 		if nodes[i].Probs != nil {
-			nodes[i].Probs = probs[off : off+k : off+k]
-			off += k
+			nodes[i].Probs = probs[off : off+nc : off+nc]
+			off += nc
 		}
 	}
-	return tree{nodes: nodes}, bag
+	return tree{nodes: nodes, probs: probs}
 }
 
-// build appends the subtree over segment slots [lo, hi) to b.nodes in
-// preorder and returns its root index. The segments are partitioned in
-// place down the recursion; they are never empty.
-func (b *builder) build(lo, hi, depth int) int {
+// build appends the subtree over segment slots [lo, hi) and out-of-bag
+// slots [olo, ohi) to b.nodes in preorder and returns its root index.
+// Both are partitioned in place down the recursion; the segments are
+// never empty.
+func (b *builder) build(lo, hi, olo, ohi, depth int) int {
 	at := len(b.nodes)
 	// Any feature's segment holds the node's rows; count the first.
 	for c := range b.tc {
 		b.tc[c] = 0
 	}
+	size := 0
 	for _, r := range b.seg[lo:hi] {
-		b.tc[b.y[r]]++
+		c := int(b.cnt[r])
+		b.tc[b.y[r]] += c
+		size += c
 	}
-	if depth >= b.cfg.MaxDepth || hi-lo <= b.cfg.MinLeaf || slices.Contains(b.tc, hi-lo) {
-		b.nodes = append(b.nodes, b.leaf(hi-lo))
-		return at
+	if depth < b.cfg.MaxDepth && size > b.cfg.MinLeaf && !slices.Contains(b.tc, size) {
+		if feat, thr, ok := b.bestSplit(lo, hi, size); ok {
+			if nl, no := b.partition(lo, hi, olo, ohi, feat, thr); nl > 0 && nl < hi-lo {
+				b.nodes = append(b.nodes, FlatNode{Left: -1, Right: -1})
+				l := b.build(lo, lo+nl, olo, olo+no, depth+1)
+				r := b.build(lo+nl, hi, olo+no, ohi, depth+1)
+				nd := &b.nodes[at]
+				nd.Feature, nd.Threshold, nd.Left, nd.Right = feat, thr, l, r
+				return at
+			}
+		}
 	}
-	feat, thr, ok := b.bestSplit(lo, hi)
-	if !ok {
-		b.nodes = append(b.nodes, b.leaf(hi-lo))
-		return at
+	off := int32(len(b.probs))
+	b.nodes = append(b.nodes, b.leaf(size))
+	for _, r := range b.seg[lo:hi] {
+		b.leaves[r] = off
 	}
-	nl := b.partition(lo, hi, feat, thr)
-	if nl == 0 || nl == hi-lo {
-		b.nodes = append(b.nodes, b.leaf(hi-lo))
-		return at
+	for _, r := range b.oob[olo:ohi] {
+		b.leaves[r] = off
 	}
-	b.nodes = append(b.nodes, FlatNode{Left: -1, Right: -1})
-	l := b.build(lo, lo+nl, depth+1)
-	r := b.build(lo+nl, hi, depth+1)
-	nd := &b.nodes[at]
-	nd.Feature, nd.Threshold, nd.Left, nd.Right = feat, thr, l, r
 	return at
 }
 
-// leaf appends the class distribution of the node's k rows (counted in
-// b.tc) to b.probs, within the capacity reserved in newBuilder, and
-// returns a leaf pointing at it.
-func (b *builder) leaf(k int) FlatNode {
+// leaf appends the class distribution of the node's size bootstrap rows
+// (counted in b.tc) to b.probs, within the capacity reserved in
+// newBuilder, and returns a leaf pointing at it.
+func (b *builder) leaf(size int) FlatNode {
 	off := len(b.probs)
 	b.probs = b.probs[:off+b.cfg.NumClasses]
 	probs := b.probs[off:]
 	for c, cnt := range b.tc {
-		probs[c] = float64(cnt) / float64(k)
+		probs[c] = float64(cnt) / float64(size)
 	}
 	return FlatNode{Left: -1, Right: -1, Probs: probs}
 }
@@ -444,12 +476,11 @@ func (b *builder) leaf(k int) FlatNode {
 // bestSplit searches cfg.MTry random features for the Gini-optimal
 // threshold, sweeping each feature's sorted segment across the
 // boundaries between distinct values with integer class counts (b.tc
-// holds the node's totals). The feature subset is rand.Perm's draw,
-// taken into scratch.
+// holds the node's totals, size their sum). The feature subset is
+// rand.Perm's draw, taken into scratch.
 //
 //cabd:hotpath
-func (b *builder) bestSplit(lo, hi int) (int, float64, bool) {
-	n, k := b.m.N, hi-lo
+func (b *builder) bestSplit(lo, hi, size int) (int, float64, bool) {
 	perm := b.perm
 	for i := range perm {
 		j := b.rng.Intn(i + 1)
@@ -460,65 +491,112 @@ func (b *builder) bestSplit(lo, hi int) (int, float64, bool) {
 	bestFeat, bestThr, found := 0, 0.0, false
 	for _, feat := range perm[:b.cfg.MTry] {
 		col := b.m.Cols[feat]
-		rows := b.seg[feat*n+lo : feat*n+hi]
+		rows := b.seg[feat*b.stride+lo : feat*b.stride+hi]
 		for c := range b.lc {
 			b.lc[c] = 0
 		}
+		// NaN rows sort last; the sweep over numbers stops before them.
+		end := len(rows)
+		for end > 0 && math.IsNaN(col[rows[end-1]]) {
+			end--
+		}
+		nl := 0
 		prev := col[rows[0]]
-		for v := 1; v < k; v++ {
-			b.lc[b.y[rows[v-1]]]++
+		for v := 1; v < end; v++ {
+			r := rows[v-1]
+			c := int(b.cnt[r])
+			b.lc[b.y[r]] += c
+			nl += c
 			cur := col[rows[v]]
 			//cabd:lint-ignore floateq adjacent sorted feature values: only bit-identical ones admit no threshold between them
 			if cur != prev {
-				g := weightedGini(b.lc, v) + weightedGiniRest(b.tc, b.lc, k-v)
+				g := weightedGini(b.lc, nl) + weightedGiniRest(b.tc, b.lc, size-nl)
 				if g < bestGini {
 					bestGini, bestFeat, bestThr, found = g, feat, (cur+prev)/2, true
 				}
 			}
 			prev = cur
 		}
+		if end == len(rows) {
+			continue
+		}
+		// Past the last number every boundary of the expanded sample
+		// scores, since NaN != NaN: the one after the last number and
+		// the one between any two copies of a NaN row too. Each gives a
+		// NaN threshold, which sends every row right, so winning makes
+		// the node a leaf; it is still scored, because a later feature's
+		// split can win only by beating it.
+		if end > 0 {
+			r := rows[end-1]
+			b.lc[b.y[r]] += int(b.cnt[r])
+			nl += int(b.cnt[r])
+		}
+		for _, r := range rows[end:] {
+			for c := b.cnt[r]; c > 0; c-- {
+				if nl > 0 {
+					g := weightedGini(b.lc, nl) + weightedGiniRest(b.tc, b.lc, size-nl)
+					if g < bestGini {
+						bestGini, bestFeat, bestThr, found = g, feat, math.NaN(), true
+					}
+				}
+				b.lc[b.y[r]]++
+				nl++
+			}
+		}
 	}
 	return bestFeat, bestThr, found
 }
 
 // partition applies the split (<= thr left) to the node's slots [lo, hi)
-// and returns the left count. Unless one side is empty (the caller then
-// makes a leaf), every other feature's segment is stably partitioned, so
-// both children's segments stay value-sorted; the split feature's own
+// and out-of-bag slots [olo, ohi) and returns the left count of each.
+// When the split leaves one side of the segments empty (the caller then
+// makes a leaf), it moves nothing. Otherwise it stably partitions every
+// other feature's segment, so both children's segments stay
+// value-sorted, and the out-of-bag slots; the split feature's own
 // segment already is partitioned, its left rows being a prefix.
 //
 //cabd:hotpath
-func (b *builder) partition(lo, hi, feat int, thr float64) int {
-	n := b.m.N
+func (b *builder) partition(lo, hi, olo, ohi, feat int, thr float64) (int, int) {
 	col := b.m.Cols[feat]
 	nl := 0
-	for _, r := range b.seg[feat*n+lo : feat*n+hi] {
+	for _, r := range b.seg[feat*b.stride+lo : feat*b.stride+hi] {
 		l := b2i(col[r] <= thr)
 		b.left[r] = int32(l)
 		nl += l
 	}
 	if nl == 0 || nl == hi-lo {
-		return nl
+		return nl, 0
 	}
-	for s := 0; s < len(b.seg); s += n {
-		if s == feat*n {
-			continue
+	for s := 0; s < len(b.order)/b.m.N; s++ {
+		if s != feat {
+			b.split(b.seg[s*b.stride+lo : s*b.stride+hi])
 		}
-		rows := b.seg[s+lo : s+hi]
-		// Branch-free: every row is written to both sides and only the
-		// cursor of its own side advances. rows[k] trails the read
-		// position, so the surplus writes land on slots rewritten later.
-		k, j := 0, 0
-		for _, r := range rows {
-			l := int(b.left[r])
-			rows[k] = r
-			b.spill[j] = r
-			k += l
-			j += 1 - l
-		}
-		copy(rows[k:], b.spill[:j])
 	}
-	return nl
+	oob := b.oob[olo:ohi]
+	for _, r := range oob {
+		b.left[r] = int32(b2i(col[r] <= thr))
+	}
+	return nl, b.split(oob)
+}
+
+// split stably moves the rows whose left flag is set to the front of
+// rows and returns their count. It is branch-free: every row is written
+// to both sides and only the cursor of its own side advances. rows[k]
+// trails the read position, so the surplus writes land on slots
+// rewritten later.
+//
+//cabd:hotpath
+func (b *builder) split(rows []int32) int {
+	k, j := 0, 0
+	for _, r := range rows {
+		l := int(b.left[r])
+		rows[k] = r
+		b.spill[j] = r
+		k += l
+		j += 1 - l
+	}
+	copy(rows[k:], b.spill[:j])
+	return k
 }
 
 func weightedGini(counts []int, n int) float64 {

@@ -198,17 +198,16 @@ func BenchmarkTrainClassifier(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictProbaAndOOB is the fused inference pass at the
-// detector's shape: full and out-of-bag distributions of every
-// training row.
-func BenchmarkPredictProbaAndOOB(b *testing.B) {
+// BenchmarkTrainingRound is one active-learning round at the detector's
+// shape, as the detector runs it: train, then read the full and
+// out-of-bag distributions of every training row into reused buffers.
+func BenchmarkTrainingRound(b *testing.B) {
 	m, y, w, cfg := classifierShape()
-	f := TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(2)))
-	full, oob := f.PredictProbaAndOOB(m, nil, nil)
+	var full, oob []float64
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, oob = f.PredictProbaAndOOB(m, full, oob)
+		sinkForest = TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(2)))
+		full, oob = sinkForest.TrainingProba(full, oob)
 	}
 }
 

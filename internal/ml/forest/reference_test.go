@@ -2,7 +2,9 @@ package forest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -375,6 +377,28 @@ func TestPresortedMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d (n=%d d=%d cfg=%+v weighted=%v): ensemble differs from the reference",
 				trial, m.N, len(m.Cols), cfg, w != nil)
 		}
+	}
+}
+
+// TestNaNEnsemblesPinned covers what TestPresortedMatchesReference
+// cannot: NaN features. The sort-based reference orders NaN by chance,
+// so the ensembles trained on diffCase problems with NaN columns are
+// pinned instead, by a hash of their Snapshots recorded from the builder
+// that expanded every bootstrap copy into its segments. Growing trees
+// over the distinct drawn rows must keep every split there too, the
+// boundaries scored between copies of one NaN row included.
+func TestNaNEnsemblesPinned(t *testing.T) {
+	const want = "a2db2703d8211743a74301b09cf1ad2b61235870c677bf615b2d1d803d46c109"
+	rng := rand.New(rand.NewSource(47))
+	h := sha256.New()
+	for trial := 0; trial < 300; trial++ {
+		m, y, w, cfg := diffCase(rng)
+		nanColumns(rng, m)
+		f := TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(rng.Int63())))
+		fmt.Fprintf(h, "%v", f.Snapshot())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("ensembles on NaN columns hash to %s, want %s", got, want)
 	}
 }
 

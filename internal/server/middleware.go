@@ -52,14 +52,26 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, httpapi.ErrorResponse{Error: msg})
 }
 
-// writeShed renders a 429 backpressure reply with Retry-After. Every
-// 429 goes through here, so this is where http_shed_total counts.
-func (s *Server) writeShed(w http.ResponseWriter, msg string) {
+// writeShed renders a 429 backpressure reply advising a back-off of sec
+// seconds in Retry-After. Every 429 goes through here, so this is where
+// http_shed_total counts.
+func (s *Server) writeShed(w http.ResponseWriter, msg string, sec int) {
 	s.rec.Add(obs.CounterHTTPShed, 1)
-	sec := s.pool.retryAfterSeconds()
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
 	s.writeJSON(w, http.StatusTooManyRequests,
 		httpapi.ErrorResponse{Error: msg, RetryAfterSeconds: sec})
+}
+
+// capRetryAfter is the back-off a count-cap shed advises, in seconds.
+// A full queue drains as workers finish, but a stream or session slot
+// frees only on a client's close or an idle eviction, so the advice is
+// the janitor period, or the idle TTL when no janitor sweeps.
+func (s *Server) capRetryAfter(ttl time.Duration) int {
+	d := s.cfg.JanitorEvery
+	if d <= 0 {
+		d = ttl
+	}
+	return max(1, int((d+time.Second-1)/time.Second))
 }
 
 // writeFailure answers a refused or failed computation: a full queue
@@ -67,9 +79,10 @@ func (s *Server) writeShed(w http.ResponseWriter, msg string) {
 // status.
 func (s *Server) writeFailure(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errSaturated), errors.Is(err, errStreamsFull),
-		errors.Is(err, errTenantQuota):
-		s.writeShed(w, err.Error())
+	case errors.Is(err, errSaturated):
+		s.writeShed(w, err.Error(), s.pool.retryAfterSeconds())
+	case errors.Is(err, errStreamsFull), errors.Is(err, errTenantQuota):
+		s.writeShed(w, err.Error(), s.capRetryAfter(s.cfg.StreamTTL))
 	default:
 		s.writeError(w, errStatus(err), err.Error())
 	}

@@ -168,10 +168,9 @@ func TestSaturationShedsWith429(t *testing.T) {
 			ok++
 		case http.StatusTooManyRequests:
 			shed++
-			if r.retryAfter == "" {
-				t.Errorf("429 reply %d has no Retry-After header", i)
-			} else if sec, err := strconv.Atoi(r.retryAfter); err != nil || sec < 1 {
-				t.Errorf("429 reply %d Retry-After = %q, want an integer >= 1", i, r.retryAfter)
+			// One waiting caller per worker: the queue estimate is 1 s.
+			if r.retryAfter != "1" {
+				t.Errorf("429 reply %d Retry-After = %q, want the queue estimate 1", i, r.retryAfter)
 			}
 		default:
 			t.Errorf("burst reply %d: unexpected status %d", i, r.status)
@@ -478,6 +477,10 @@ func TestSessionList(t *testing.T) {
 
 // TestStreamCapShedsOverHTTP: a push that would open a stream past
 // MaxStreams answers 429 with Retry-After, and counts as one shed.
+//
+// A stream slot frees only on a close or an idle eviction, so the shed
+// advises the idle TTL while no janitor runs (newTestServer turns it
+// off), and the janitor period once one does.
 func TestStreamCapShedsOverHTTP(t *testing.T) {
 	srv, ts, cl := newTestServer(t, server.Config{MaxStreams: 1})
 	if _, err := cl.StreamPush(context.Background(), "a", []float64{1}); err != nil {
@@ -487,17 +490,86 @@ func TestStreamCapShedsOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("push past the stream cap = %d, want 429", resp.StatusCode)
-	}
-	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
-		t.Errorf("Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
+	if sec := shedAdvice(t, resp); sec != 600 {
+		t.Errorf("stream cap shed advises %d s, want the default 600 s stream TTL", sec)
 	}
 	if got := srv.Recorder().Count(obs.CounterHTTPShed); got != 1 {
 		t.Errorf("http_shed_total = %d, want 1", got)
 	}
+
+	ts = janitorServer(t, server.Config{MaxStreams: 1, JanitorEvery: 45 * time.Second})
+	if _, err := client.New(ts.URL).StreamPush(context.Background(), "a", []float64{1}); err != nil {
+		t.Fatalf("push within the cap: %v", err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/stream/b", "application/x-ndjson", bytes.NewBufferString("1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec := shedAdvice(t, resp); sec != 45 {
+		t.Errorf("stream cap shed with a 45 s janitor advises %d s, want 45", sec)
+	}
+}
+
+// TestSessionCapShedsOverHTTP: a session past MaxSessions answers 429,
+// advising the session TTL while no janitor runs and the janitor period
+// once one does, since only a close or an idle eviction frees a slot.
+func TestSessionCapShedsOverHTTP(t *testing.T) {
+	req := httpapi.SessionRequest{Series: synth.YahooLike(11, 400).Values}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg  server.Config
+		want int
+	}{
+		{server.Config{MaxSessions: 1, SessionTTL: 2 * time.Minute, JanitorEvery: -1}, 120},
+		{server.Config{MaxSessions: 1, SessionTTL: 2 * time.Minute, JanitorEvery: 1500 * time.Millisecond}, 2},
+	} {
+		ts := janitorServer(t, tc.cfg)
+		if _, err := client.New(ts.URL).CreateSession(context.Background(), req); err != nil {
+			t.Fatalf("session within the cap: %v", err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sec := shedAdvice(t, resp); sec != tc.want {
+			t.Errorf("janitor every %v: session cap shed advises %d s, want %d", tc.cfg.JanitorEvery, sec, tc.want)
+		}
+	}
+}
+
+// janitorServer is newTestServer without turning the janitor off.
+func janitorServer(t *testing.T, cfg server.Config) *httptest.Server {
+	t.Helper()
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return ts
+}
+
+// shedAdvice closes a reply that must be a 429 and returns the back-off
+// it advises, checking that the Retry-After header and the body's
+// retry_after_seconds agree.
+func shedAdvice(t *testing.T, resp *http.Response) int {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	var e httpapi.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	sec, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || sec != e.RetryAfterSeconds {
+		t.Fatalf("Retry-After %q, body retry_after_seconds %d: want one integer", resp.Header.Get("Retry-After"), e.RetryAfterSeconds)
+	}
+	return sec
 }
 
 // TestStreamLifecycle covers ingest shapes ({"v":x} and bare numbers),

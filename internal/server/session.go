@@ -396,7 +396,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.sessions.create(req, opts, truth)
 	if err != nil {
-		s.writeShed(w, err.Error())
+		s.writeShed(w, err.Error(), s.capRetryAfter(s.cfg.SessionTTL))
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sess.status())
