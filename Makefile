@@ -74,9 +74,10 @@ check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
 #   internal/lint/... (85): the analyzers plus the cfg and dataflow
 #     packages backing the path-sensitive rules; an analyzer whose
 #     branches go untested silently stops enforcing its invariant.
-#   internal/ml/forest (85): the classifier's batch/parallel fast paths
-#     are promised bit-identical to their sequential oracles, and an
-#     untested branch there is an unverified promise.
+#   internal/ml/forest (85): parallel training and the recorded-leaf
+#     training distributions are promised bit-identical to the
+#     sequential builder and the per-row walk, and an untested branch
+#     there is an unverified promise.
 #   internal/core (88): the detector itself. The candidate stage (the
 #     multivariate union, both flood guards), the collective merge and
 #     the scoring and classification fast paths promise golden and

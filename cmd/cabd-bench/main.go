@@ -8,7 +8,7 @@
 //	cabd-bench -exp fig11 -full       # paper-scale datasets (slow)
 //
 // Experiment ids: fig1 fig3 table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// table2 fig12 fig13 fig14 multi chaos obs scenarios serve stream load.
+// table2 fig12 fig13 fig14 multi chaos obs scenarios stream load.
 //
 // The scenarios experiment sweeps the fault-taxonomy grid (fault kind x
 // series family x channel count x severity) with CABD's joint
@@ -21,13 +21,10 @@
 // a machine-readable snapshot (-json, default BENCH_runtime.json; empty
 // string disables). With -metrics the obs experiment also merges its
 // recorder snapshot — counters, degrade reasons, stage histograms — into
-// the JSON. The serve experiment benchmarks the HTTP serving layer
-// (throughput/latency quantiles, saturation shedding, one auto-labeled
-// session) and writes -servejson (default BENCH_serve.json). The load
-// experiment drives a collector fleet (N cabd-agents x M streams) through
-// a mid-run server crash/restart, verifies zero detection loss, probes
-// the shed point, and writes -loadjson (default BENCH_load.json). The
-// stream experiment benchmarks the streaming path (per-point cost per
+// the JSON. The load experiment drives a collector fleet (N cabd-agents
+// x M streams) through a mid-run server crash/restart, verifies zero
+// detection loss, probes the shed point, and writes -loadjson (default
+// BENCH_load.json). The stream experiment benchmarks the streaming path (per-point cost per
 // window, checkpoint/resume equality, many-stream memory bounds, the
 // stream registry over HTTP) and writes -streamjson (default
 // BENCH_stream.json); a stream resumed from a mid-stream checkpoint that
@@ -44,7 +41,6 @@ import (
 
 	"cabd/internal/experiments"
 	"cabd/internal/experiments/loadbench"
-	"cabd/internal/experiments/servebench"
 	"cabd/internal/experiments/streambench"
 )
 
@@ -62,8 +58,6 @@ func main() {
 		"runtime snapshot output for fig11/obs ('' disables)")
 	metrics := flag.Bool("metrics", false,
 		"merge the obs recorder snapshot (counters, histograms) of the obs experiment into the runtime JSON")
-	serveJSON := flag.String("servejson", "BENCH_serve.json",
-		"serving benchmark output for the serve experiment ('' disables)")
 	loadJSON := flag.String("loadjson", "BENCH_load.json",
 		"collector-fleet benchmark output for the load experiment ('' disables)")
 	streamJSON := flag.String("streamjson", "BENCH_stream.json",
@@ -162,21 +156,6 @@ func main() {
 					os.Exit(1)
 				}
 				fmt.Fprintf(out, "taxonomy benchmark written to %s\n", *scenJSON)
-			}
-		}},
-		{"serve", "HTTP serving layer: throughput, saturation shedding, session e2e", func(sc experiments.Scale) {
-			cfg := servebench.ServeConfig{}
-			if *full {
-				cfg = servebench.ServeConfig{Requests: 256, Concurrency: 16, N: 2000}
-			}
-			res := servebench.ServeBench(cfg)
-			servebench.PrintServe(out, res)
-			if *serveJSON != "" {
-				if err := servebench.WriteServeJSON(*serveJSON, res); err != nil {
-					fmt.Fprintf(os.Stderr, "cabd-bench: writing %s: %v\n", *serveJSON, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(out, "serving benchmark written to %s\n", *serveJSON)
 			}
 		}},
 		{"stream", "streaming path: per-point cost, checkpoint/resume equality, many-stream scale, stream registry over HTTP", func(sc experiments.Scale) {

@@ -12,6 +12,7 @@ import (
 	"cabd"
 	"cabd/client"
 	"cabd/httpapi"
+	"cabd/internal/dataio"
 	"cabd/internal/obs"
 )
 
@@ -144,30 +145,7 @@ func (a *Agent) saveCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(a.checkpointPath(), data)
-}
-
-// atomicWriteFile writes data via temp-file-plus-rename in the target's
-// directory, so a crash mid-write never leaves a torn file.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return dataio.WriteFileAtomic(a.checkpointPath(), data)
 }
 
 // PollOnce runs one full collect→forward→checkpoint cycle: tail every

@@ -44,8 +44,8 @@ type Config struct {
 	// persistence — the agent is then only as reliable as its process.
 	StateDir string
 
-	// PollEvery is the source-scan cadence (default 2s). FlushEvery is
-	// accepted for config compatibility but flushing happens every poll.
+	// PollEvery is the source-scan cadence (default 2s); every poll
+	// also flushes.
 	PollEvery time.Duration
 	// BatchSize caps detections per forward request (default 64).
 	BatchSize int

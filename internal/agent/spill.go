@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"cabd/httpapi"
+	"cabd/internal/dataio"
 )
 
 // spill is the bounded disk-backed buffer detections fall into when the
@@ -97,7 +98,7 @@ func (s *spill) add(dets []httpapi.ForwardedDetection) (dropped int, err error) 
 		buf = append(buf, '\n')
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("spill-%012d.ndjson", s.seq))
-	if err := atomicWriteFile(path, buf); err != nil {
+	if err := dataio.WriteFileAtomic(path, buf); err != nil {
 		return 0, err
 	}
 	s.seq++

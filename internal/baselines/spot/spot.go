@@ -22,7 +22,6 @@ type Config struct {
 	InitFrac  float64 // calibration fraction (default 0.2, at least 50 pts)
 	InitLevel float64 // initial threshold quantile (default 0.98)
 	Depth     int     // DSPOT drift window (0 = plain SPOT)
-	TwoSided  bool    // detect both tails (default behaviour of Detect)
 }
 
 func (c *Config) defaults() {

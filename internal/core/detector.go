@@ -326,7 +326,7 @@ type clsScratch struct {
 type rowClassifier func(d *Detector, cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand)
 
 // classify trains the random forest on the pseudo-labels overridden by
-// oracle answers (true labels carry LabelWeight sampling weight) and
+// oracle answers (true labels carry labelWeight sampling weight) and
 // refreshes every candidate's class and confidence weight. Confidence is
 // the out-of-bag probability, so it is not a self-fulfilling echo of the
 // candidate's own training label; queried candidates keep their oracle
@@ -365,7 +365,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 	for i := range cands {
 		w[i] = math.Sqrt(float64(n) / (float64(NumClasses) * counts[y[i]]))
 		if _, ok := trueLabels[i]; ok {
-			w[i] *= float64(d.opts.LabelWeight)
+			w[i] *= labelWeight
 		}
 	}
 	cfg := forest.Config{

@@ -47,6 +47,20 @@ func (s Strategy) String() string {
 	}
 }
 
+// saxSegments and saxAlphabet parameterize the correlation score's
+// symbolic representation (Definitions 6-8): a window becomes a word of
+// saxSegments symbols over saxAlphabet letters. The coarse word space
+// keeps common shapes genuinely frequent.
+const (
+	saxSegments = 3
+	saxAlphabet = 3
+)
+
+// labelWeight is how many times each oracle-provided label is replicated
+// in the training set relative to bootstrap pseudo-labels, letting few
+// true labels steer the classifier.
+const labelWeight = 5
+
 // Options configures a Detector. The zero value selects the paper's
 // defaults via defaults().
 type Options struct {
@@ -67,14 +81,6 @@ type Options struct {
 	DisableCorrelation bool
 	DisableVariance    bool
 
-	// SAXSegments / SAXAlphabet parameterize the correlation score's
-	// symbolic representation (Definitions 6-8). Defaults 3 and 3 (a
-	// coarse word space keeps common shapes genuinely frequent). An
-	// alphabet below 2 has no breakpoints — every word would be all
-	// 'a' — so it resolves to the default like 0 does.
-	SAXSegments int
-	SAXAlphabet int
-
 	// Confidence is the user-defined minimum confidence γ terminating
 	// active learning (Algorithm 2 line 5). Default 0.8.
 	Confidence float64
@@ -82,11 +88,6 @@ type Options struct {
 	// max(50, 2% of the series length) — the paper reports exposing
 	// about 2% of the dataset to the user on average.
 	MaxQueries int
-	// LabelWeight is how many times each oracle-provided label is
-	// replicated in the training set relative to bootstrap
-	// pseudo-labels, letting few true labels steer the classifier.
-	// Default 5.
-	LabelWeight int
 
 	// Sanitize selects how the facade entry points treat NaN, ±Inf and
 	// out-of-range values before detection: repair by interpolation
@@ -130,17 +131,8 @@ func (o Options) defaults() Options {
 	if o.KNNK <= 0 {
 		o.KNNK = 10
 	}
-	if o.SAXSegments <= 0 {
-		o.SAXSegments = 3
-	}
-	if o.SAXAlphabet < 2 {
-		o.SAXAlphabet = 3
-	}
 	if o.Confidence <= 0 {
 		o.Confidence = 0.8
-	}
-	if o.LabelWeight <= 0 {
-		o.LabelWeight = 5
 	}
 	if o.DegradeCandidates == 0 {
 		o.DegradeCandidates = 4096

@@ -344,10 +344,10 @@ func (sc *scorer) scoreNeighborhoods(ctx context.Context, cands []Candidate, wor
 func (sc *scorer) buildCorpora(ctx context.Context, cands []Candidate, workers int) error {
 	sc.corpora = make([]*sax.Corpus, len(sc.chans)*(maxWindow+1))
 	jobs := sc.corpusJobs(cands)
-	bp := sax.Breakpoints(sc.opts.SAXAlphabet)
+	bp := sax.Breakpoints(saxAlphabet)
 	return runPool(ctx, workers, len(jobs), func(j int) {
 		k, w := jobs[j]/(maxWindow+1), jobs[j]%(maxWindow+1)
-		sc.corpora[jobs[j]] = sax.NewCorpus(sc.chans[k], w, sc.opts.SAXSegments, bp)
+		sc.corpora[jobs[j]] = sax.NewCorpus(sc.chans[k], w, saxSegments, bp)
 	})
 }
 

@@ -296,7 +296,7 @@ func TestScoresBuildOneCorpusPerWindow(t *testing.T) {
 			used[corpusSlot(c.Channel, hi-lo)] = true
 			lengths[hi-lo] = true
 			channels[c.Channel] = true
-			want := sax.NewCorpus(sc.chans[c.Channel], hi-lo, sc.opts.SAXSegments, sax.Breakpoints(sc.opts.SAXAlphabet)).Frequency(lo)
+			want := sax.NewCorpus(sc.chans[c.Channel], hi-lo, saxSegments, sax.Breakpoints(saxAlphabet)).Frequency(lo)
 			if math.Float64bits(c.Correlation) != math.Float64bits(want) {
 				t.Errorf("d=%d candidate %d: correlation %v, own corpus %v", d, c.Index, c.Correlation, want)
 			}

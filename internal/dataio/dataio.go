@@ -1,6 +1,8 @@
 // Package dataio reads and writes the CSV layouts the reproduction's
 // tools exchange: plain one-column value lists, and the labeled
-// index,value,label,truth layout emitted by cmd/cabd-gen.
+// index,value,label,truth layout emitted by cmd/cabd-gen. It also holds
+// the crash-safe file writer the server and the agent persist state
+// with.
 package dataio
 
 import (
@@ -8,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -250,4 +253,28 @@ func ReadMulti(r io.Reader) ([][]float64, error) {
 		}
 	}
 	return dims, nil
+}
+
+// WriteFileAtomic writes data to path via a temp file in the same
+// directory, fsynced, then renamed over path, so a crash mid-write
+// leaves either the old file or the new one — never a torn file.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -125,58 +125,3 @@ func TestF1SymmetryProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestSegments(t *testing.T) {
-	segs := Segments([]int{5, 1, 2, 3, 9, 10})
-	want := [][2]int{{1, 3}, {5, 5}, {9, 10}}
-	if len(segs) != len(want) {
-		t.Fatalf("segments = %v", segs)
-	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Errorf("segment %d = %v, want %v", i, segs[i], want[i])
-		}
-	}
-	if Segments(nil) != nil {
-		t.Error("empty truth should give nil segments")
-	}
-}
-
-func TestPointAdjustSegmentCredit(t *testing.T) {
-	// One detection inside a 5-point segment credits all 5 points.
-	truth := []int{10, 11, 12, 13, 14, 30}
-	m := PointAdjust([]int{12}, truth)
-	if m.TP != 5 || m.FN != 1 || m.FP != 0 {
-		t.Errorf("point-adjust counts = %+v", m)
-	}
-	// Missing every segment point yields zero recall.
-	m = PointAdjust([]int{99}, truth)
-	if m.TP != 0 || m.FP != 1 || m.FN != 6 {
-		t.Errorf("all-miss counts = %+v", m)
-	}
-}
-
-func TestPointAdjustMorePermissiveThanMatch(t *testing.T) {
-	truth := []int{10, 11, 12, 13, 14}
-	pred := []int{12}
-	if PointAdjust(pred, truth).F1 <= Match(pred, truth, 0).F1 {
-		t.Error("point-adjust should not be stricter than point-wise match")
-	}
-}
-
-func TestWindowedMatch(t *testing.T) {
-	m := WindowedMatch([]int{100}, []int{103}, 5)
-	if m.TP != 1 || m.FN != 0 {
-		t.Errorf("windowed match = %+v", m)
-	}
-	// Two alarms for the same window: one TP, no FP.
-	m = WindowedMatch([]int{100, 101}, []int{103}, 5)
-	if m.TP != 1 || m.FP != 0 {
-		t.Errorf("duplicate alarm handling = %+v", m)
-	}
-	// An alarm far from every window is an FP.
-	m = WindowedMatch([]int{500}, []int{103}, 5)
-	if m.FP != 1 || m.FN != 1 {
-		t.Errorf("far alarm = %+v", m)
-	}
-}

@@ -34,76 +34,58 @@ func TestMatchTieHandling(t *testing.T) {
 	}
 }
 
-// TestPointAdjustVsStrict drives the same (pred, truth) pairs through the
-// strict point-wise protocol and the point-adjust protocol and pins both
-// score sets, making the permissiveness gap explicit per scenario.
-func TestPointAdjustVsStrict(t *testing.T) {
+// TestStrictMatchF1 pins the strict point-wise F1 of Match at zero
+// tolerance on segment-shaped labelings: a hit inside a segment credits
+// that one point, not the segment.
+func TestStrictMatchF1(t *testing.T) {
 	cases := []struct {
 		name     string
 		pred     []int
 		truth    []int
 		strictF1 float64
-		adjF1    float64
 	}{
 		{
-			// One hit inside a 4-point segment: strict credits 1 of 4,
-			// adjust credits the whole segment.
+			// One hit inside a 4-point segment credits 1 of 4.
 			name: "partial segment hit",
 			pred: []int{21}, truth: []int{20, 21, 22, 23},
 			strictF1: 2 * (1.0 / 1) * (1.0 / 4) / (1.0/1 + 1.0/4),
-			adjF1:    1,
 		},
 		{
-			// Hit on one of two segments: adjust recall is segment-sized.
+			// A hit on one of two segments credits one of four points.
 			name: "one of two segments",
 			pred: []int{5}, truth: []int{5, 6, 40, 41},
 			strictF1: 2 * 1 * 0.25 / 1.25,
-			adjF1:    2 * 1 * 0.5 / 1.5,
 		},
 		{
-			// Pure false positive: both protocols give zero.
+			// A pure false positive scores zero.
 			name: "all miss",
 			pred: []int{99}, truth: []int{1, 2, 3},
 			strictF1: 0,
-			adjF1:    0,
 		},
 		{
-			// Exact full-segment detection: both protocols are perfect.
+			// Exact full-segment detection is perfect.
 			name: "exact cover",
 			pred: []int{7, 8, 9}, truth: []int{7, 8, 9},
 			strictF1: 1,
-			adjF1:    1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			strict := Match(tc.pred, tc.truth, 0)
-			adj := PointAdjust(tc.pred, tc.truth)
 			if math.Abs(strict.F1-tc.strictF1) > 1e-12 {
 				t.Errorf("strict F1 = %v, want %v", strict.F1, tc.strictF1)
-			}
-			if math.Abs(adj.F1-tc.adjF1) > 1e-12 {
-				t.Errorf("point-adjust F1 = %v, want %v", adj.F1, tc.adjF1)
-			}
-			if adj.F1 < strict.F1-1e-12 {
-				t.Errorf("point-adjust (%v) stricter than point-wise (%v)", adj.F1, strict.F1)
 			}
 		})
 	}
 }
 
 // TestAllAnomalyTruth exercises the degenerate labeling where every index
-// is ground truth: one segment, so a single detection yields full
-// point-adjust recall while strict recall stays 1/n.
+// is ground truth: a single detection leaves strict recall at 1/n.
 func TestAllAnomalyTruth(t *testing.T) {
 	n := 50
 	truth := make([]int, n)
 	for i := range truth {
 		truth[i] = i
-	}
-	m := PointAdjust([]int{25}, truth)
-	if m.Recall != 1 || m.TP != n || m.FP != 0 {
-		t.Errorf("all-anomaly point-adjust = %+v", m)
 	}
 	s := Match([]int{25}, truth, 0)
 	if s.TP != 1 || s.FN != n-1 {
@@ -111,48 +93,5 @@ func TestAllAnomalyTruth(t *testing.T) {
 	}
 	if got := Accuracy([]int{25}, truth, 0); math.Abs(got-1.0/float64(n)) > 1e-12 {
 		t.Errorf("all-anomaly accuracy = %v, want %v", got, 1.0/float64(n))
-	}
-}
-
-// TestEmptyInputsAcrossProtocols pins the empty-side behavior of every
-// protocol: no division-by-zero, no spurious credit.
-func TestEmptyInputsAcrossProtocols(t *testing.T) {
-	check := func(name string, m PRF, tp, fp, fn int) {
-		t.Helper()
-		if m.TP != tp || m.FP != fp || m.FN != fn {
-			t.Errorf("%s = TP %d FP %d FN %d, want %d/%d/%d", name, m.TP, m.FP, m.FN, tp, fp, fn)
-		}
-		if m.Precision < 0 || m.Precision > 1 || m.Recall < 0 || m.Recall > 1 ||
-			m.F1 < 0 || m.F1 > 1 || math.IsNaN(m.F1) {
-			t.Errorf("%s scores out of range: %+v", name, m)
-		}
-	}
-	check("PointAdjust(nil, nil)", PointAdjust(nil, nil), 0, 0, 0)
-	check("PointAdjust(pred, nil)", PointAdjust([]int{3}, nil), 0, 1, 0)
-	check("PointAdjust(nil, truth)", PointAdjust(nil, []int{3, 4}), 0, 0, 2)
-	check("WindowedMatch(nil, nil)", WindowedMatch(nil, nil, 3), 0, 0, 0)
-	check("WindowedMatch(pred, nil)", WindowedMatch([]int{3}, nil, 3), 0, 1, 0)
-	check("WindowedMatch(nil, truth)", WindowedMatch(nil, []int{3}, 3), 0, 0, 1)
-}
-
-// TestWindowedMatchZeroWindow verifies that w = 0 degenerates to exact
-// matching with NAB's duplicate-alarm suppression.
-func TestWindowedMatchZeroWindow(t *testing.T) {
-	m := WindowedMatch([]int{5, 5, 6}, []int{5}, 0)
-	if m.TP != 1 || m.FP != 1 || m.FN != 0 {
-		t.Errorf("zero-window match = %+v", m)
-	}
-}
-
-// TestPointAdjustDuplicatePredictions verifies duplicate predictions
-// collapse before scoring (a repeated alarm is not a repeated FP).
-func TestPointAdjustDuplicatePredictions(t *testing.T) {
-	m := PointAdjust([]int{99, 99, 99}, []int{1, 2})
-	if m.FP != 1 {
-		t.Errorf("duplicate FPs counted: %+v", m)
-	}
-	m = PointAdjust([]int{1, 1}, []int{1, 2})
-	if m.TP != 2 || m.FP != 0 {
-		t.Errorf("duplicate hits mishandled: %+v", m)
 	}
 }

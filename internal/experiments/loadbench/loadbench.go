@@ -4,8 +4,8 @@
 // proves the at-least-once pipeline loses nothing — the server's final
 // unique detection count equals an offline reference detector run over
 // the same values — and probes the serving layer's shed point with an
-// escalating concurrent burst. Like servebench it lives beside (not
-// inside) internal/experiments because it imports internal/server.
+// escalating concurrent burst. It lives beside (not inside)
+// internal/experiments because it imports internal/server.
 package loadbench
 
 import (

@@ -171,8 +171,8 @@ func TestChaosSweepContainsFaults(t *testing.T) {
 func TestMultiDatasetGroundTruth(t *testing.T) {
 	n, d := 600, 3
 	s := multiDataset(42, n, d)
-	if s.D() != d || s.Len() != n {
-		t.Fatalf("shape = %dx%d, want %dx%d", s.D(), s.Len(), d, n)
+	if len(s.Dims) != d || s.Len() != n {
+		t.Fatalf("shape = %dx%d, want %dx%d", len(s.Dims), s.Len(), d, n)
 	}
 	for k, dim := range s.Dims {
 		if len(dim) != n {

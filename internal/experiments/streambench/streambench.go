@@ -2,9 +2,9 @@
 // cost per window size and its flatness over stream position, the
 // checkpoint/resume contract (a stream resumed from a JSON-round-tripped
 // State emits what the uninterrupted stream emits), many-stream memory
-// bounds, and the server's stream registry over loopback HTTP. Like
-// servebench it lives beside internal/experiments because it imports the
-// cabd facade and internal/server.
+// bounds, and the server's stream registry over loopback HTTP. It lives
+// beside internal/experiments because it imports the cabd facade and
+// internal/server.
 package streambench
 
 import (

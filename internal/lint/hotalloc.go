@@ -8,8 +8,8 @@ import (
 )
 
 // hotpathMarker annotates a function whose body must not allocate: the
-// scoring workers, the SoA matrix fill, tree-major forest inference and
-// the SAX word encoder (see DESIGN.md).
+// scoring workers, the SoA matrix fill, the forest's split search and
+// recorded-leaf read, and the SAX word encoder (see DESIGN.md).
 const hotpathMarker = "cabd:hotpath"
 
 var analyzerHotalloc = &Analyzer{

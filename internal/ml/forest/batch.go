@@ -5,28 +5,41 @@ import (
 	"sync"
 )
 
-// PredictProbaBatch computes the class distribution of every row of m in
-// tree-major order: each tree's flat node array streams through all rows
-// while it is hot in cache, instead of every row re-walking every tree.
-// The result is one flat slice of m.N blocks of NumClasses probabilities
-// (row i occupies [i*k, (i+1)*k)); dst is reused when it has capacity.
-// Accumulation visits trees in index order per element, so every row is
-// bit-identical to PredictProba on that row.
+// PredictProbaBatch computes the class distribution of every row of m,
+// each through PredictProba's walk, so every row is bit-identical to
+// PredictProba on that row. The result is one flat slice of m.N blocks
+// of NumClasses probabilities (row i occupies [i*k, (i+1)*k)); dst is
+// reused when it has capacity.
 func (f *Forest) PredictProbaBatch(m Matrix, dst []float64) []float64 {
-	dst = f.grow(dst, m.N)
-	f.predict(m, dst, nil)
-	return dst
+	return f.batch(m, dst, false)
 }
 
 // PredictProbaOOBBatch computes the out-of-bag distribution of every
 // training row of m (which must be the matrix the forest was trained on:
-// row i's votes come from the trees whose bootstrap excluded row i).
-// Rows that every tree saw fall back to the full-ensemble distribution,
-// exactly as PredictProbaOOB does per row. Layout and reuse semantics
-// match PredictProbaBatch.
+// row i's votes come from the trees whose bootstrap excluded row i),
+// each through PredictProbaOOB's walk. Rows that every tree saw fall back
+// to the full-ensemble distribution. Layout and reuse semantics match
+// PredictProbaBatch.
 func (f *Forest) PredictProbaOOBBatch(m Matrix, dst []float64) []float64 {
+	return f.batch(m, dst, true)
+}
+
+// batch runs vote over every row of m, gathering each row into one
+// scratch vector; with oob, row i votes as training row i.
+func (f *Forest) batch(m Matrix, dst []float64, oob bool) []float64 {
 	dst = f.grow(dst, m.N)
-	f.predict(m, nil, dst)
+	k := f.numClasses
+	x := make([]float64, len(m.Cols))
+	for i := 0; i < m.N; i++ {
+		for c, col := range m.Cols {
+			x[c] = col[i]
+		}
+		row := -1
+		if oob {
+			row = i
+		}
+		f.vote(x, row, dst[i*k:(i+1)*k])
+	}
 	return dst
 }
 
@@ -40,7 +53,7 @@ func (f *Forest) PredictProbaOOBBatch(m Matrix, dst []float64) []float64 {
 // must not share memory.
 func (f *Forest) TrainingProba(full, oob []float64) ([]float64, []float64) {
 	full, oob = f.grow(full, f.n), f.grow(oob, f.n)
-	f.predict(Matrix{N: f.n}, full, oob)
+	f.predict(full, oob)
 	return full, oob
 }
 
@@ -54,38 +67,22 @@ func (f *Forest) grow(dst []float64, rows int) []float64 {
 	return dst[:need]
 }
 
-// leafAt walks row i of m down to its leaf distribution.
-func (t tree) leafAt(m Matrix, i int) []float64 {
-	at := 0
-	for t.nodes[at].Probs == nil {
-		nd := &t.nodes[at]
-		if m.Cols[nd.Feature][i] <= nd.Threshold {
-			at = nd.Left
-		} else {
-			at = nd.Right
-		}
-	}
-	return t.nodes[at].Probs
-}
-
 // minBlockRows is the fewest rows an inference block takes: below it,
 // starting and joining a goroutine costs more than the rows it takes
 // off the caller.
 const minBlockRows = 32
 
-// predict fills the outputs for every row of m: both outputs are the
-// training distributions, read from the recorded leaves (m then only
-// carries the row count, see leafRows); one output walks m's rows down
-// the trees (see predictRows). The rows are split into up to GOMAXPROCS
-// contiguous blocks of at least minBlockRows rows; the caller's
-// goroutine runs the first block and waits for the others. Blocks write
-// disjoint ranges of the outputs and every row still sums its trees in
-// index order, so the result is bit-identical at any block count.
-func (f *Forest) predict(m Matrix, full, oob []float64) {
-	n := m.N
+// predict fills the training distributions of every row from the
+// recorded leaves. The rows are split into up to GOMAXPROCS contiguous
+// blocks of at least minBlockRows rows; the caller's goroutine runs the
+// first block and waits for the others. Blocks write disjoint ranges of
+// the outputs and every row still sums its trees in index order, so the
+// result is bit-identical at any block count.
+func (f *Forest) predict(full, oob []float64) {
+	n := f.n
 	nb := min(runtime.GOMAXPROCS(0), n/minBlockRows)
 	if nb <= 1 {
-		f.rows(m, full, oob, 0, n)
+		f.leafRows(full, oob, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -94,20 +91,11 @@ func (f *Forest) predict(m Matrix, full, oob []float64) {
 		lo, hi := b*n/nb, (b+1)*n/nb
 		go func() {
 			defer wg.Done()
-			f.rows(m, full, oob, lo, hi)
+			f.leafRows(full, oob, lo, hi)
 		}()
 	}
-	f.rows(m, full, oob, 0, n/nb)
+	f.leafRows(full, oob, 0, n/nb)
 	wg.Wait()
-}
-
-// rows runs predict's kernel for rows [lo, hi).
-func (f *Forest) rows(m Matrix, full, oob []float64, lo, hi int) {
-	if full != nil && oob != nil {
-		f.leafRows(full, oob, lo, hi)
-		return
-	}
-	f.predictRows(m, full, oob, lo, hi)
 }
 
 // leafRows fills rows [lo, hi) of the training distributions from the
@@ -136,59 +124,6 @@ func (f *Forest) leafRows(full, oob []float64, lo, hi int) {
 			scale(oob[i*k:i*k+k], voters)
 		} else {
 			copy(oob[i*k:i*k+k], full[i*k:i*k+k])
-		}
-	}
-}
-
-// predictRows is the tree-major inference kernel over rows [lo, hi) of
-// m for exactly one output; it writes only the rows' own slots. full
-// receives the ensemble distribution of every row; oob the out-of-bag
-// one, which falls back to the ensemble distribution for a row every
-// tree saw. Only the trees that vote out-of-bag walk a row.
-//
-//cabd:hotpath
-func (f *Forest) predictRows(m Matrix, full, oob []float64, lo, hi int) {
-	k := f.numClasses
-	if oob == nil {
-		clear(full[lo*k : hi*k])
-		for _, t := range f.trees {
-			t.addLeaves(m, full, nil, lo, hi)
-		}
-		scale(full[lo*k:hi*k], len(f.trees))
-		return
-	}
-	clear(oob[lo*k : hi*k])
-	for ti, t := range f.trees {
-		t.addLeaves(m, oob, f.inBag[ti], lo, hi)
-	}
-	for i := lo; i < hi; i++ {
-		voters := f.voters(i)
-		if voters == 0 {
-			for _, t := range f.trees {
-				addRow(oob, i, t.leafAt(m, i))
-			}
-			voters = len(f.trees)
-		}
-		scale(oob[i*k:i*k+k], voters)
-	}
-}
-
-// addLeaves adds tree t's leaf distribution of every row in [lo, hi)
-// to dst, or with a bag, of the rows its bootstrap left out (bag[i] is
-// false). It stays a call per tree: inlined into predictRows's loop
-// nest, the row walk measured slower.
-//
-//cabd:hotpath
-func (t tree) addLeaves(m Matrix, dst []float64, bag []bool, lo, hi int) {
-	if bag == nil {
-		for i := lo; i < hi; i++ {
-			addRow(dst, i, t.leafAt(m, i))
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if !bag[i] {
-			addRow(dst, i, t.leafAt(m, i))
 		}
 	}
 }

@@ -81,11 +81,11 @@ func atProcs(fn func(procs int)) {
 	}
 }
 
-// TestPredictProbaBatchMatchesPerRow sweeps the tree-major batch pass
-// against the per-row oracle over a probe matrix that spans several row
-// blocks, including rows the forest never saw and rows holding NaN/Inf
-// (NaN <= thr is false, so NaN rows deterministically fall right at
-// every split — both paths must agree on that too).
+// TestPredictProbaBatchMatchesPerRow sweeps the batch pass against the
+// per-row oracle over a probe matrix, at several GOMAXPROCS settings,
+// including rows the forest never saw and rows holding NaN/Inf (NaN <=
+// thr is false, so NaN rows deterministically fall right at every split
+// — both paths must agree on that too).
 func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := gaussData(rng, 300, 4, 3)
@@ -138,11 +138,9 @@ func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	})
 }
 
-// TestPredictProbaOOBBatchMatchesPerRow covers the out-of-bag batch pass
-// across several row blocks, including the voters==0 full-ensemble
-// fallback, forced by weighting one row so heavily that every bootstrap
-// sample contains it. That row sits past the first block at every
-// block count above one.
+// TestPredictProbaOOBBatchMatchesPerRow covers the out-of-bag batch pass,
+// including the voters==0 full-ensemble fallback, forced by weighting one
+// row so heavily that every bootstrap sample contains it.
 func TestPredictProbaOOBBatchMatchesPerRow(t *testing.T) {
 	const heavy = 250
 	X, y := gaussData(rand.New(rand.NewSource(11)), 300, 4, 2)
@@ -285,39 +283,31 @@ func allocsPerCall(runs int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestPredictAllocBudget holds the row-parallel pass to its allocation
-// budget: with reused outputs a call allocates at most a small constant
-// per row block (a goroutine's closure and the shared wait group),
-// whatever the row and tree counts, and nothing on one block.
+// TestPredictAllocBudget holds the row-parallel TrainingProba pass to its
+// allocation budget: with reused outputs a call allocates at most a small
+// constant per row block (a goroutine's closure and the shared wait
+// group), whatever the row and tree counts, and nothing on one block.
 func TestPredictAllocBudget(t *testing.T) {
 	const perBlock = 2
 	for _, shape := range []struct{ rows, trees int }{{40, 4}, {300, 4}, {300, 40}, {900, 4}} {
 		X, y := gaussData(rand.New(rand.NewSource(17)), shape.rows, 4, 3)
 		f := TrainWeighted(X, y, nil, Config{Trees: shape.trees, NumClasses: 3}, rand.New(rand.NewSource(5)))
-		m := RowMajor(X)
 		full, oob := f.TrainingProba(nil, nil)
 		atProcs(func(procs int) {
 			budget := 0
 			if blocks := min(procs, shape.rows/minBlockRows); blocks > 1 {
 				budget = perBlock * blocks
 			}
-			for name, call := range map[string]func(){
-				"PredictProbaBatch":    func() { f.PredictProbaBatch(m, full) },
-				"PredictProbaOOBBatch": func() { f.PredictProbaOOBBatch(m, oob) },
-				"TrainingProba":        func() { f.TrainingProba(full, oob) },
-			} {
-				if allocs := allocsPerCall(10, call); allocs > float64(budget) {
-					t.Errorf("%s rows=%d trees=%d procs=%d: %v allocs per call, budget %d",
-						name, shape.rows, shape.trees, procs, allocs, budget)
-				}
+			if allocs := allocsPerCall(10, func() { f.TrainingProba(full, oob) }); allocs > float64(budget) {
+				t.Errorf("TrainingProba rows=%d trees=%d procs=%d: %v allocs per call, budget %d",
+					shape.rows, shape.trees, procs, allocs, budget)
 			}
 		})
 	}
 }
 
-// TestPredictProbaBatchEmpty pins the degenerate shapes: zero rows and a
-// nil destination must not panic, and a snapshot-restored forest without
-// in-bag info must still batch-predict.
+// TestPredictProbaBatchEmpty pins the degenerate shape: zero rows and a
+// nil destination must not panic and return no values.
 func TestPredictProbaBatchEmpty(t *testing.T) {
 	X, y := gaussData(rand.New(rand.NewSource(13)), 60, 3, 2)
 	f := TrainWeighted(X, y, nil, Config{Trees: 5, NumClasses: 2}, rand.New(rand.NewSource(1)))
@@ -331,8 +321,8 @@ func TestPredictProbaBatchEmpty(t *testing.T) {
 }
 
 // FuzzPredictBatch feeds arbitrary (including non-finite) feature values
-// through the tree-major batch pass and demands bit-identity with the
-// per-row oracle on every row. It also trains on those values, three
+// through the batch pass and demands bit-identity with the per-row
+// oracle on every row. It also trains on those values, three
 // rows of a small training set, and holds the recorded training
 // distributions to the per-row oracles.
 func FuzzPredictBatch(f *testing.F) {

@@ -6,17 +6,16 @@
 // uncertainty driving active learning (Equation 13).
 //
 // Trees are stored as flat preorder node arrays — the same layout the
-// Snapshot wire form uses — so inference walks contiguous memory instead
-// of chasing heap pointers, and PredictProbaBatch streams each tree
-// through all rows of a column-major Matrix (tree-major order: the hot
-// node array stays cached while rows advance). Training sorts each
-// feature column once and grows every tree over the distinct rows its
-// bootstrap drew, each weighted by its draw count (see builder). While
-// it builds a tree it records the leaf every training row lands in, so
-// TrainingProba reads the full and out-of-bag distributions of the
-// training rows without walking a tree. The batch passes split the rows
-// into contiguous blocks run on all cores, each row still summing its
-// trees in index order. Training fans the trees out over worker
+// Snapshot wire form uses — so a row's walk reads contiguous memory
+// instead of chasing heap pointers. Training sorts each feature column
+// once and grows every tree over the distinct rows its bootstrap drew,
+// each weighted by its draw count (see builder). While it builds a tree
+// it records the leaf every training row lands in, so TrainingProba reads
+// the full and out-of-bag distributions of the training rows without
+// walking a tree; it splits the rows into contiguous blocks run on all
+// cores, each row still summing its trees in index order. Rows the
+// forest was not trained on are walked one at a time (PredictProba,
+// PredictProbaBatch). Training fans the trees out over worker
 // goroutines; every tree draws from a rand stream seeded from the
 // caller's stream before the fan-out, so the ensemble is bit-identical
 // at any worker count (Workers: 1 is the sequential differential
@@ -627,21 +626,10 @@ func weightedGiniRest(total, left []int, n int) float64 {
 
 // PredictProba returns the class probability distribution for x, averaged
 // over all trees. It is the per-row differential oracle for
-// PredictProbaBatch.
+// TrainingProba's full distributions.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	probs := make([]float64, f.numClasses)
-	if len(f.trees) == 0 {
-		return probs
-	}
-	for _, t := range f.trees {
-		leaf := t.leafFor(x)
-		for c, p := range leaf {
-			probs[c] += p
-		}
-	}
-	for c := range probs {
-		probs[c] /= float64(len(f.trees))
-	}
+	f.vote(x, -1, probs)
 	return probs
 }
 
@@ -649,28 +637,35 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 // row i with features x: only trees whose bootstrap sample excluded row i
 // vote, so the estimate is not self-fulfilling. When every tree saw the
 // row (possible for heavily weighted rows), it falls back to the full
-// ensemble. It is the per-row differential oracle for
-// PredictProbaOOBBatch.
+// ensemble. It is the per-row differential oracle for TrainingProba's
+// out-of-bag distributions.
 func (f *Forest) PredictProbaOOB(i int, x []float64) []float64 {
 	probs := make([]float64, f.numClasses)
+	f.vote(x, i, probs)
+	return probs
+}
+
+// vote writes x's class distribution into out, which holds NumClasses
+// values: the leaf distributions summed in tree-index order and divided
+// by the voter count. With row < 0 every tree votes; otherwise only the
+// trees whose bootstrap left training row `row` out, or every tree when
+// none did.
+func (f *Forest) vote(x []float64, row int, out []float64) {
+	clear(out)
 	voters := 0
 	for t, tr := range f.trees {
-		if f.inBag[t][i] {
+		if row >= 0 && f.inBag[t][row] {
 			continue
 		}
-		leaf := tr.leafFor(x)
-		for c, p := range leaf {
-			probs[c] += p
-		}
+		addRow(out, 0, tr.leafFor(x))
 		voters++
 	}
-	if voters == 0 {
-		return f.PredictProba(x)
+	switch {
+	case voters > 0:
+		scale(out, voters)
+	case row >= 0:
+		f.vote(x, -1, out)
 	}
-	for c := range probs {
-		probs[c] /= float64(voters)
-	}
-	return probs
 }
 
 // Predict returns the most probable class for x.
@@ -687,6 +682,3 @@ func (f *Forest) Predict(x []float64) int {
 
 // NumClasses returns the size of the label space the forest was trained on.
 func (f *Forest) NumClasses() int { return f.numClasses }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }

@@ -2,10 +2,9 @@ package forest
 
 // Matrix is a column-major (structure-of-arrays) feature matrix:
 // Cols[f][i] is feature f of row i. The scoring hot path fills one
-// index-aligned column per feature, so training and tree-major batch
-// inference stream through contiguous memory instead of chasing
-// per-row slice headers. N is the row count; every column must have
-// length N.
+// index-aligned column per feature, so training's presort and split
+// sweeps stream through contiguous memory instead of chasing per-row
+// slice headers. N is the row count; every column must have length N.
 type Matrix struct {
 	Cols [][]float64
 	N    int
@@ -30,9 +29,6 @@ func RowMajor(X [][]float64) Matrix {
 	}
 	return Matrix{Cols: cols, N: len(X)}
 }
-
-// NumFeatures returns the feature count (the number of columns).
-func (m Matrix) NumFeatures() int { return len(m.Cols) }
 
 // valid reports whether the matrix is rectangular with N rows.
 func (m Matrix) valid() bool {

@@ -20,7 +20,6 @@ type Model struct {
 	Weights []float64     // mixing proportions, sum to 1
 	Means   [][]float64   // k x d
 	chol    [][][]float64 // Cholesky factors of the k covariances
-	dim     int
 }
 
 // Config controls the EM fit.
@@ -170,7 +169,7 @@ func fitOnce(data [][]float64, cfg Config, rng *rand.Rand) (*Model, float64) {
 		}
 		prevLL = ll
 	}
-	return &Model{Weights: weights, Means: means, chol: chols, dim: d}, prevLL
+	return &Model{Weights: weights, Means: means, chol: chols}, prevLL
 }
 
 // K returns the number of mixture components.
@@ -204,20 +203,6 @@ func (m *Model) Assign(x []float64) int {
 	return bi
 }
 
-// LogLikelihood returns the total data log-likelihood under the model.
-func (m *Model) LogLikelihood(data [][]float64) float64 {
-	var ll float64
-	lc := make([]float64, m.K())
-	for _, row := range data {
-		for c := 0; c < m.K(); c++ {
-			lc[c] = math.Log(m.Weights[c]+1e-300) +
-				linalg.GaussianLogPDF(row, m.Means[c], m.chol[c])
-		}
-		ll += logSumExp(lc)
-	}
-	return ll
-}
-
 func logSumExp(xs []float64) float64 {
 	mx := math.Inf(-1)
 	for _, x := range xs {
@@ -233,48 +218,4 @@ func logSumExp(xs []float64) float64 {
 		s += math.Exp(x - mx)
 	}
 	return mx + math.Log(s)
-}
-
-// BIC returns the Bayesian Information Criterion of the model on data
-// (lower is better): -2 log L + p log n, with p the free-parameter count
-// of a full-covariance mixture.
-func (m *Model) BIC(data [][]float64) float64 {
-	n := float64(len(data))
-	if n == 0 {
-		return math.Inf(1)
-	}
-	d := float64(m.dim)
-	k := float64(m.K())
-	params := k*(d+d*(d+1)/2) + (k - 1)
-	return -2*m.LogLikelihood(data) + params*math.Log(n)
-}
-
-// FitBestK fits mixtures with 1..maxK components and returns the one with
-// the lowest BIC together with its component count. The paper fixes K=4
-// for the score-space bootstrap; this helper supports exploratory use of
-// the clustering substrate on other data.
-func FitBestK(data [][]float64, maxK int, cfg Config, rng *rand.Rand) (*Model, int) {
-	var best *Model
-	bestK := 0
-	bestBIC := math.Inf(1)
-	for k := 1; k <= maxK; k++ {
-		cfg.K = k
-		m := Fit(data, cfg, rng)
-		if m == nil {
-			continue
-		}
-		if bic := m.BIC(data); betterBIC(bic, bestBIC) {
-			best, bestK, bestBIC = m, k, bic
-		}
-	}
-	return best, bestK
-}
-
-// betterBIC is FitBestK's model-selection rule: candidate wins only on a
-// strictly lower BIC. K ascends through the search, so an exact tie
-// keeps the incumbent — the model with fewer components — matching
-// BIC's own parsimony preference. NaN (a degenerate likelihood) never
-// wins, not even against +Inf.
-func betterBIC(candidate, best float64) bool {
-	return candidate < best
 }

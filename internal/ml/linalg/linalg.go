@@ -33,15 +33,6 @@ func Eye(n int) [][]float64 {
 	return m
 }
 
-// Clone deep-copies a matrix.
-func Clone(a [][]float64) [][]float64 {
-	out := Zeros(len(a), len(a[0]))
-	for i := range a {
-		copy(out[i], a[i])
-	}
-	return out
-}
-
 // MeanVec returns the column means of data (rows are observations).
 func MeanVec(data [][]float64) []float64 {
 	if len(data) == 0 {
@@ -120,31 +111,6 @@ func CholeskyDet(l [][]float64) float64 {
 		det *= l[i][i]
 	}
 	return det * det
-}
-
-// SolveCholesky solves A x = b given the Cholesky factor L of A, by
-// forward then backward substitution.
-func SolveCholesky(l [][]float64, b []float64) []float64 {
-	n := len(l)
-	// Forward: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[i][k] * y[k]
-		}
-		y[i] = s / l[i][i]
-	}
-	// Backward: L^T x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[k][i] * x[k]
-		}
-		x[i] = s / l[i][i]
-	}
-	return x
 }
 
 // Regularize adds eps to the diagonal of a (in place) and returns it,

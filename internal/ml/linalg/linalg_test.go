@@ -19,15 +19,6 @@ func TestZerosEye(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := [][]float64{{1, 2}, {3, 4}}
-	b := Clone(a)
-	b[0][0] = 99
-	if a[0][0] == 99 {
-		t.Error("Clone aliased storage")
-	}
-}
-
 func TestMeanVecAndCovariance(t *testing.T) {
 	data := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	mu := MeanVec(data)
@@ -80,16 +71,6 @@ func TestCholeskyDet(t *testing.T) {
 	}
 }
 
-func TestSolveCholesky(t *testing.T) {
-	a := [][]float64{{4, 2}, {2, 3}}
-	l, _ := Cholesky(a)
-	x := SolveCholesky(l, []float64{10, 8})
-	// Verify A x = b.
-	if !almostEq(4*x[0]+2*x[1], 10, 1e-9) || !almostEq(2*x[0]+3*x[1], 8, 1e-9) {
-		t.Errorf("solution = %v", x)
-	}
-}
-
 func TestMahalanobis2Identity(t *testing.T) {
 	l, _ := Cholesky(Eye(2))
 	got := Mahalanobis2([]float64{3, 4}, []float64{0, 0}, l)
@@ -129,7 +110,7 @@ func TestRegularize(t *testing.T) {
 }
 
 // Property: for random SPD matrices (A = B B^T + eps I), Cholesky succeeds
-// and solve satisfies the system.
+// and its factor reconstructs the matrix: L L^T = A.
 func TestCholeskySolveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
@@ -153,18 +134,15 @@ func TestCholeskySolveProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SPD matrix rejected: %v", err)
 		}
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		x := SolveCholesky(l, rhs)
 		for i := 0; i < n; i++ {
-			var s float64
 			for j := 0; j < n; j++ {
-				s += a[i][j] * x[j]
-			}
-			if !almostEq(s, rhs[i], 1e-6) {
-				t.Fatalf("trial %d: Ax[%d] = %v, want %v", trial, i, s, rhs[i])
+				var s float64
+				for k := 0; k < n; k++ {
+					s += l[i][k] * l[j][k]
+				}
+				if !almostEq(s, a[i][j], 1e-9) {
+					t.Fatalf("trial %d: (L·Lᵀ)[%d][%d] = %v, want %v", trial, i, j, s, a[i][j])
+				}
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func TestMultiMatchesGolden(t *testing.T) {
 func TestOneChannelMatchesUnivariate(t *testing.T) {
 	checked := 0
 	for _, c := range multiGoldenCases() {
-		if c.s.D() != 1 {
+		if len(c.s.Dims) != 1 {
 			continue
 		}
 		det := core.NewDetector(c.opts)

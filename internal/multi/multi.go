@@ -50,9 +50,6 @@ func (s *Series) Len() int {
 	return len(s.Dims[0])
 }
 
-// D returns the number of dimensions.
-func (s *Series) D() int { return len(s.Dims) }
-
 // LabelAt returns the ground-truth label of index i (Normal when
 // unlabeled or out of range).
 func (s *Series) LabelAt(i int) series.Label {

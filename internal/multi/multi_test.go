@@ -129,8 +129,8 @@ func TestUnivariateEquivalence(t *testing.T) {
 
 func TestSeriesAccessors(t *testing.T) {
 	s := gen(5, 300, 2)
-	if s.Len() != 300 || s.D() != 2 {
-		t.Errorf("Len/D = %d/%d", s.Len(), s.D())
+	if s.Len() != 300 || len(s.Dims) != 2 {
+		t.Errorf("Len/D = %d/%d", s.Len(), len(s.Dims))
 	}
 	if s.LabelAt(-1) != series.Normal || s.LabelAt(999) != series.Normal {
 		t.Error("out-of-range labels")
@@ -145,8 +145,8 @@ func TestSeriesAccessors(t *testing.T) {
 	if cps := s.ChangePointIndices(); !reflect.DeepEqual(cps, []int{7}) {
 		t.Errorf("change points %v, want [7]", cps)
 	}
-	if e := NewSeries("e", nil); e.Len() != 0 || e.D() != 0 {
-		t.Errorf("empty series Len/D = %d/%d", e.Len(), e.D())
+	if e := NewSeries("e", nil); e.Len() != 0 || len(e.Dims) != 0 {
+		t.Errorf("empty series Len/D = %d/%d", e.Len(), len(e.Dims))
 	}
 }
 

@@ -13,11 +13,6 @@ import (
 	"cabd/internal/stats"
 )
 
-// DefaultAlphabet is the alphabet size used by the correlation score.
-// Lin et al. recommend 3-10 symbols; 4 keeps words discriminative on the
-// short windows CABD produces.
-const DefaultAlphabet = 4
-
 // PAA reduces xs to m segment means (Definition 6). When m >= len(xs) the
 // input is returned copied (each point is its own segment). Segment
 // boundaries use the fractional scheme so uneven divisions distribute
@@ -324,29 +319,4 @@ func encode4(ln *lanes, xs []float64, n, m int, bp []float64) {
 	ln[1][seg] = letter(sum1/c, bp)
 	ln[2][seg] = letter(sum2/c, bp)
 	ln[3][seg] = letter(sum3/c, bp)
-}
-
-// MinDist is the SAX lower-bounding distance between two equal-length
-// words under alphabet size a, per Lin et al. Symbols one step apart have
-// distance 0; farther symbols use the breakpoint gap. Unequal lengths
-// return -1.
-func MinDist(w1, w2 string, a int) float64 {
-	if len(w1) != len(w2) {
-		return -1
-	}
-	bp := Breakpoints(a)
-	var sum float64
-	for i := 0; i < len(w1); i++ {
-		r := int(w1[i] - 'a')
-		c := int(w2[i] - 'a')
-		if r > c {
-			r, c = c, r
-		}
-		if c-r <= 1 {
-			continue
-		}
-		d := bp[c-1] - bp[r]
-		sum += d * d
-	}
-	return sum
 }

@@ -3,7 +3,6 @@ package sax
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -181,22 +180,6 @@ func TestFrequency(t *testing.T) {
 	}
 }
 
-func TestMinDist(t *testing.T) {
-	// Adjacent symbols have zero distance.
-	if got := MinDist("ab", "ba", 4); got != 0 {
-		t.Errorf("adjacent MinDist = %v", got)
-	}
-	if got := MinDist("aa", "cc", 4); got <= 0 {
-		t.Errorf("far MinDist = %v, want > 0", got)
-	}
-	if got := MinDist("a", "ab", 4); got != -1 {
-		t.Errorf("length mismatch = %v", got)
-	}
-	if got := MinDist("ad", "ad", 4); got != 0 {
-		t.Errorf("identical MinDist = %v", got)
-	}
-}
-
 // Property: words always have length min(m, len(xs)) and draw only from
 // the first a letters.
 func TestWordProperty(t *testing.T) {
@@ -226,33 +209,6 @@ func TestWordProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: MinDist is symmetric and zero on identical words.
-func TestMinDistProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	alphabet := "abcd"
-	randWord := func(n int) string {
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			b.WriteByte(alphabet[rng.Intn(4)])
-		}
-		return b.String()
-	}
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(10)
-		w1, w2 := randWord(n), randWord(n)
-		d12, d21 := MinDist(w1, w2, 4), MinDist(w2, w1, 4)
-		if d12 != d21 {
-			t.Fatalf("asymmetric: %q %q -> %v vs %v", w1, w2, d12, d21)
-		}
-		if MinDist(w1, w1, 4) != 0 {
-			t.Fatalf("self distance nonzero for %q", w1)
-		}
-		if d12 < 0 {
-			t.Fatalf("negative distance for %q %q", w1, w2)
-		}
 	}
 }
 

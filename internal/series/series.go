@@ -66,19 +66,6 @@ func New(name string, values []float64) *Series {
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	c := &Series{Name: s.Name}
-	c.Values = append([]float64(nil), s.Values...)
-	if s.Labels != nil {
-		c.Labels = append([]Label(nil), s.Labels...)
-	}
-	if s.Truth != nil {
-		c.Truth = append([]float64(nil), s.Truth...)
-	}
-	return c
-}
-
 // EnsureLabels allocates the label slice if missing and returns it.
 func (s *Series) EnsureLabels() []Label {
 	if s.Labels == nil {
@@ -117,18 +104,6 @@ func (s *Series) ChangePointIndices() []int {
 		}
 	}
 	return out
-}
-
-// Standardized returns a copy of the series whose values have zero mean and
-// unit standard deviation (Equation 2). Labels and Truth are shared with
-// the receiver, values are fresh.
-func (s *Series) Standardized() *Series {
-	return &Series{
-		Name:   s.Name,
-		Values: stats.Standardize(s.Values),
-		Labels: s.Labels,
-		Truth:  s.Truth,
-	}
 }
 
 // Points embeds the series into 2-D Euclidean space as

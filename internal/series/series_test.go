@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"cabd/internal/stats"
 )
 
 func TestLabelString(t *testing.T) {
@@ -30,19 +28,6 @@ func TestIsAnomaly(t *testing.T) {
 	}
 	if Normal.IsAnomaly() || ChangePoint.IsAnomaly() {
 		t.Error("non-anomaly labels misclassified")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	s := New("x", []float64{1, 2, 3})
-	s.EnsureLabels()[1] = SingleAnomaly
-	s.Truth = []float64{1, 2, 3}
-	c := s.Clone()
-	c.Values[0] = 99
-	c.Labels[0] = ChangePoint
-	c.Truth[2] = 99
-	if s.Values[0] == 99 || s.Labels[0] == ChangePoint || s.Truth[2] == 99 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
@@ -73,17 +58,6 @@ func TestIndexAccessors(t *testing.T) {
 	cp := s.ChangePointIndices()
 	if len(cp) != 1 || cp[0] != 4 {
 		t.Errorf("ChangePointIndices = %v", cp)
-	}
-}
-
-func TestStandardized(t *testing.T) {
-	s := New("x", []float64{10, 20, 30, 40})
-	z := s.Standardized()
-	if !almostEq(stats.Mean(z.Values), 0, 1e-12) || !almostEq(stats.Std(z.Values), 1, 1e-12) {
-		t.Errorf("standardized moments wrong: %v", z.Values)
-	}
-	if s.Values[0] != 10 {
-		t.Error("Standardized mutated the original")
 	}
 }
 

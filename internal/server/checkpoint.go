@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,7 +11,7 @@ import (
 
 	"cabd"
 	"cabd/httpapi"
-	"cabd/internal/obs"
+	"cabd/internal/dataio"
 	"cabd/internal/series"
 )
 
@@ -49,30 +48,6 @@ func sessionCheckpointPath(dir, id string) string {
 	return filepath.Join(dir, "session-"+id+".json")
 }
 
-// atomicWriteFile writes data to path via a temp file in the same
-// directory plus rename, so a crash mid-write leaves either the old
-// checkpoint or the new one — never a torn file.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // checkpointSession persists the session's current checkpoint. Best
 // effort: a failed write is logged, not fatal — the session keeps
 // serving and the next persistence point retries.
@@ -86,7 +61,7 @@ func (s *Server) checkpointSession(sess *session) {
 		s.logf("cabd-serve: checkpoint session %s: encode: %v", cp.ID, err)
 		return
 	}
-	if err := atomicWriteFile(sessionCheckpointPath(s.cfg.CheckpointDir, cp.ID), data); err != nil {
+	if err := dataio.WriteFileAtomic(sessionCheckpointPath(s.cfg.CheckpointDir, cp.ID), data); err != nil {
 		s.logf("cabd-serve: checkpoint session %s: %v", cp.ID, err)
 	}
 }
@@ -184,7 +159,11 @@ func parseSessionID(id string) (int64, bool) {
 	return n, err == nil && n > 0 && id == "s"+strconv.FormatInt(n, 10)
 }
 
-// restoreOne rebuilds a single session from its checkpoint.
+// restoreOne rebuilds a single session from its checkpoint and
+// registers it under its old id, bypassing the MaxSessions shed (these
+// sessions were admitted before the restart; refusing them now would
+// lose user work). A terminal session comes back finished; an open one
+// restarts its pipeline with the recorded labels to replay.
 func (t *sessionTable) restoreOne(cp *sessionCheckpoint) error {
 	opts, err := parseOptions(cp.Options)
 	if err != nil {
@@ -196,20 +175,11 @@ func (t *sessionTable) restoreOne(cp *sessionCheckpoint) error {
 		AutoLabel: cp.AutoLabel,
 		Truth:     cp.Truth,
 	}
-	switch cp.State {
-	case httpapi.StateDone, httpapi.StateFailed, httpapi.StateCancelled:
-		sess := t.adopt(cp.ID, req)
-		sess.mu.Lock()
-		sess.state = cp.State
-		sess.queries = cp.Queries
-		sess.result = cp.Result
-		sess.errMsg = cp.Error
-		sess.labels = cp.Labels
-		sess.mu.Unlock()
-		close(sess.done)
-		return nil
-	default:
-		replay := make(map[int]cabd.Label, len(cp.Labels))
+	terminal := cp.State == httpapi.StateDone || cp.State == httpapi.StateFailed || cp.State == httpapi.StateCancelled
+	var replay map[int]cabd.Label
+	var truth []series.Label
+	if !terminal {
+		replay = make(map[int]cabd.Label, len(cp.Labels))
 		for _, lr := range cp.Labels {
 			lbl, err := parseLabel(lr.Label)
 			if err != nil {
@@ -217,48 +187,29 @@ func (t *sessionTable) restoreOne(cp *sessionCheckpoint) error {
 			}
 			replay[lr.Index] = lbl
 		}
-		var truth []series.Label
 		if cp.AutoLabel {
 			truth, err = parseTruth(cp.Truth, len(cp.Series))
 			if err != nil {
 				return err
 			}
 		}
-		sess := t.adopt(cp.ID, req)
-		sess.mu.Lock()
-		sess.labels = cp.Labels
-		sess.replay = replay
-		sess.mu.Unlock()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		sess.cancel = cancel
-		det := t.srv.detectorFor(opts)
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			sess.run(ctx, det, cp.Series, truth)
-		}()
-		return nil
 	}
-}
-
-// adopt registers a restored session shell in the table under its old
-// id, bypassing the MaxSessions shed (these sessions were admitted
-// before the restart; refusing them now would lose user work).
-func (t *sessionTable) adopt(id string, req httpapi.SessionRequest) *session {
-	sess := &session{
-		id:      id,
-		srv:     t.srv,
-		cancel:  func() {},
-		done:    make(chan struct{}),
-		state:   httpapi.StateRunning,
-		req:     req,
-		created: t.srv.clock.Now(),
-		last:    t.srv.clock.Now(),
+	// The session is filled in before it is registered, so no lock.
+	sess, ctx := t.newSession(cp.ID, req)
+	sess.labels = cp.Labels
+	sess.replay = replay
+	if terminal {
+		sess.state = cp.State
+		sess.queries = cp.Queries
+		sess.result = cp.Result
+		sess.errMsg = cp.Error
+		close(sess.done)
 	}
 	t.mu.Lock()
-	t.m[id] = sess
-	t.srv.rec.SetGauge(obs.GaugeSessionsActive, int64(len(t.m)))
+	t.addLocked(sess)
 	t.mu.Unlock()
-	return sess
+	if !terminal {
+		t.start(ctx, sess, opts, truth)
+	}
+	return nil
 }

@@ -229,7 +229,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/sessions", s.wrap(s.handleSessionCreate))
 	mux.HandleFunc("GET /v1/sessions", s.wrap(s.handleSessionList))
 	mux.HandleFunc("GET /v1/sessions/{id}", s.wrap(s.handleSessionGet))
-	mux.HandleFunc("GET /v1/sessions/{id}/pending", s.wrap(s.handleSessionPending))
+	mux.HandleFunc("GET /v1/sessions/{id}/pending", s.wrap(s.handleSessionGet))
 	mux.HandleFunc("POST /v1/sessions/{id}/labels", s.wrap(s.handleSessionLabel))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.wrap(s.handleSessionCancel))
 	mux.HandleFunc("POST /v1/ingest", s.wrap(s.handleIngest))

@@ -76,36 +76,56 @@ func newSessionTable(s *Server) *sessionTable {
 // errSessionsFull sheds session creation at the cap.
 var errSessionsFull = errors.New("server saturated: session cap reached")
 
-// create registers a new session and spawns its pipeline goroutine.
+// create registers a new session and starts its pipeline.
 func (t *sessionTable) create(req httpapi.SessionRequest, opts *detectOptions, truth []series.Label) (*session, error) {
 	t.mu.Lock()
 	if len(t.m) >= t.srv.cfg.MaxSessions {
 		t.mu.Unlock()
 		return nil, errSessionsFull
 	}
+	sess, ctx := t.newSession("s"+strconv.FormatInt(t.next.Add(1), 10), req)
+	t.addLocked(sess)
+	t.mu.Unlock()
+
+	t.srv.checkpointSession(sess)
+	t.start(ctx, sess, opts, truth)
+	return sess, nil
+}
+
+// newSession builds a running session under id and returns it with the
+// context its pipeline runs under, which sess.cancel ends. The context
+// exists before the session is registered, so a cancel that finds the
+// session in the table always reaches its pipeline.
+func (t *sessionTable) newSession(id string, req httpapi.SessionRequest) (*session, context.Context) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sess := &session{
-		id:      "s" + strconv.FormatInt(t.next.Add(1), 10),
+	now := t.srv.clock.Now()
+	return &session{
+		id:      id,
 		srv:     t.srv,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		state:   httpapi.StateRunning,
 		req:     req,
-		created: t.srv.clock.Now(),
-		last:    t.srv.clock.Now(),
-	}
+		created: now,
+		last:    now,
+	}, ctx
+}
+
+// addLocked registers sess under its id; t.mu must be held.
+func (t *sessionTable) addLocked(sess *session) {
 	t.m[sess.id] = sess
 	t.srv.rec.SetGauge(obs.GaugeSessionsActive, int64(len(t.m)))
-	t.wg.Add(1)
-	t.mu.Unlock()
+}
 
-	t.srv.checkpointSession(sess)
+// start runs sess's pipeline under ctx on its own goroutine, which wait
+// joins.
+func (t *sessionTable) start(ctx context.Context, sess *session, opts *detectOptions, truth []series.Label) {
 	det := t.srv.detectorFor(opts)
+	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		sess.run(ctx, det, req.Series, truth)
+		sess.run(ctx, det, sess.req.Series, truth)
 	}()
-	return sess, nil
 }
 
 // lookup returns the session for id, or nil.
@@ -418,21 +438,11 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleSessionGet returns the session resource (result included once
-// done).
+// handleSessionGet returns the session resource: its state, the
+// uncertainty-sampled candidate the loop is parked on (nil while it
+// computes or once it is finished) and, once done, the result. Both
+// GET /v1/sessions/{id} and GET /v1/sessions/{id}/pending answer with it.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	sess := s.sessions.lookup(r.PathValue("id"))
-	if sess == nil {
-		s.writeError(w, http.StatusNotFound, "session not found")
-		return
-	}
-	sess.touch()
-	s.writeJSON(w, http.StatusOK, sess.status())
-}
-
-// handleSessionPending surfaces the uncertainty-sampled candidate the
-// loop is parked on (204 when none: still computing, or finished).
-func (s *Server) handleSessionPending(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.lookup(r.PathValue("id"))
 	if sess == nil {
 		s.writeError(w, http.StatusNotFound, "session not found")

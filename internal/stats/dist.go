@@ -83,16 +83,3 @@ func ChiSquareQuantile(p, k float64) float64 {
 	t := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
 	return k * t * t * t
 }
-
-// GaussianPDF evaluates the normal density with the given mean and
-// standard deviation. A zero sd returns +Inf at the mean and 0 elsewhere.
-func GaussianPDF(x, mean, sd float64) float64 {
-	if sd <= 0 {
-		if ApproxEq(x, mean, 0) {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - mean) / sd
-	return math.Exp(-0.5*z*z) / (sd * math.Sqrt(2*math.Pi))
-}

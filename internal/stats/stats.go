@@ -77,25 +77,6 @@ func Variance2(a, b []float64) float64 {
 	return s / float64(n)
 }
 
-// Std2 returns the population standard deviation of the virtual
-// concatenation a++b, bit-identical to Std(append(a, b...)).
-func Std2(a, b []float64) float64 {
-	return math.Sqrt(Variance2(a, b))
-}
-
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
-// SampleStd returns the unbiased sample standard deviation.
-func SampleStd(xs []float64) float64 {
-	return math.Sqrt(SampleVariance(xs))
-}
-
 // Median returns the median of xs without modifying it, or 0 for an empty
 // slice. Even-length inputs return the midpoint of the two central values.
 // The central values are selected from a copy, in sort.Float64s's order
@@ -279,31 +260,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for an empty slice.
-// Ties resolve to the first occurrence.
-func ArgMax(xs []float64) int {
-	idx := -1
-	best := math.Inf(-1)
-	for i, x := range xs {
-		if x > best {
-			best, idx = x, i
-		}
-	}
-	return idx
-}
-
-// ArgMin returns the index of the minimum element, or -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	idx := -1
-	best := math.Inf(1)
-	for i, x := range xs {
-		if x < best {
-			best, idx = x, i
-		}
-	}
-	return idx
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

@@ -38,12 +38,9 @@ func TestVarianceAndStd(t *testing.T) {
 	if got := Variance([]float64{3}); got != 0 {
 		t.Errorf("Variance singleton = %v, want 0", got)
 	}
-	if got := SampleVariance(xs); !almostEq(got, 4*8.0/7.0, 1e-12) {
-		t.Errorf("SampleVariance = %v", got)
-	}
 }
 
-// TestStd2BitIdentical: Variance2/Std2 over the split pair must match the
+// TestStd2BitIdentical: Variance2 over the split pair must match the
 // materialized concatenation bit for bit — the scoring hot path swaps one
 // for the other and results may not drift by even one ulp.
 func TestStd2BitIdentical(t *testing.T) {
@@ -63,12 +60,9 @@ func TestStd2BitIdentical(t *testing.T) {
 		if got, want := Variance2(a, b), Variance(concat); got != want {
 			t.Fatalf("trial %d: Variance2 = %v, Variance(concat) = %v", trial, got, want)
 		}
-		if got, want := Std2(a, b), Std(concat); got != want {
-			t.Fatalf("trial %d: Std2 = %v, Std(concat) = %v", trial, got, want)
-		}
 	}
-	if got := Std2(nil, []float64{3}); got != 0 {
-		t.Errorf("Std2 singleton = %v, want 0", got)
+	if got := Variance2(nil, []float64{3}); got != 0 {
+		t.Errorf("Variance2 singleton = %v, want 0", got)
 	}
 }
 
@@ -393,15 +387,6 @@ func TestChiSquareQuantile(t *testing.T) {
 	}
 }
 
-func TestGaussianPDF(t *testing.T) {
-	if got := GaussianPDF(0, 0, 1); !almostEq(got, 0.3989422804, 1e-9) {
-		t.Errorf("pdf(0) = %v", got)
-	}
-	if got := GaussianPDF(1, 0, 0); got != 0 {
-		t.Errorf("degenerate pdf off-mean = %v", got)
-	}
-}
-
 // Property: MAD is translation invariant and scales with |c|.
 func TestMADPropertyInvariance(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -501,19 +486,6 @@ func TestHistogramProperty(t *testing.T) {
 	}
 }
 
-func TestArgMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 7, -1}
-	if ArgMax(xs) != 2 {
-		t.Errorf("ArgMax = %d", ArgMax(xs))
-	}
-	if ArgMin(xs) != 1 {
-		t.Errorf("ArgMin = %d", ArgMin(xs))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty arg extrema should be -1")
-	}
-}
-
 func TestQuantileMatchesSortedExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	xs := make([]float64, 101)
@@ -557,20 +529,5 @@ func TestApproxEq(t *testing.T) {
 		if got := ApproxEq(c.b, c.a, c.tol); got != c.want {
 			t.Errorf("ApproxEq(%v, %v, %v) = %v, want symmetric %v", c.b, c.a, c.tol, got, c.want)
 		}
-	}
-}
-
-// Regression for the ApproxEq migration: the degenerate sd=0 spike must
-// still be exact — at the mean (even an infinite one) the density is a
-// point mass, one ulp away it is zero.
-func TestGaussianPDFDegenerateExact(t *testing.T) {
-	if got := GaussianPDF(2, 2, 0); !math.IsInf(got, 1) {
-		t.Errorf("degenerate pdf at mean = %v, want +Inf", got)
-	}
-	if got := GaussianPDF(math.Inf(1), math.Inf(1), 0); !math.IsInf(got, 1) {
-		t.Errorf("degenerate pdf at infinite mean = %v, want +Inf", got)
-	}
-	if got := GaussianPDF(math.Nextafter(2, 3), 2, 0); got != 0 {
-		t.Errorf("degenerate pdf one ulp off mean = %v, want 0", got)
 	}
 }
