@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-bench test race check cover fuzz bench serve-smoke agent-smoke stream-smoke scenario-smoke
+.PHONY: all build vet lint lint-bench test race check cover fuzz bench serve-smoke agent-smoke scenario-smoke
 
 all: check
 
@@ -48,13 +48,6 @@ serve-smoke:
 agent-smoke:
 	./scripts/agent_smoke.sh
 
-# Smoke-scale run of the streaming benchmark: at every window size a
-# stream checkpointed halfway (State through JSON, then ResumeStream)
-# must emit exactly the detections of the uninterrupted stream (the
-# experiment exits non-zero on divergence).
-stream-smoke:
-	$(GO) run ./cmd/cabd-bench -exp stream -streamjson BENCH_stream.json
-
 # Smoke-scale run of the fault-taxonomy benchmark: every fault kind at
 # both channel counts on a short flat carrier. Proves the scenario
 # subsystem, the joint multivariate detector and every baseline still
@@ -66,7 +59,7 @@ stream-smoke:
 scenario-smoke:
 	$(GO) run ./cmd/cabd-bench -exp scenarios -smoke -scenjson ''
 
-check: vet build lint race serve-smoke agent-smoke stream-smoke scenario-smoke
+check: vet build lint race serve-smoke agent-smoke scenario-smoke
 
 # Coverage floors, one package:percent pair per gated package:
 #   internal/obs (90): pure bookkeeping code with a deterministic fake

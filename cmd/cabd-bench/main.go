@@ -8,7 +8,7 @@
 //	cabd-bench -exp fig11 -full       # paper-scale datasets (slow)
 //
 // Experiment ids: fig1 fig3 table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// table2 fig12 fig13 fig14 multi chaos obs scenarios stream load.
+// table2 fig12 fig13 fig14 multi chaos obs scenarios.
 //
 // The scenarios experiment sweeps the fault-taxonomy grid (fault kind x
 // series family x channel count x severity) with CABD's joint
@@ -21,27 +21,17 @@
 // a machine-readable snapshot (-json, default BENCH_runtime.json; empty
 // string disables). With -metrics the obs experiment also merges its
 // recorder snapshot — counters, degrade reasons, stage histograms — into
-// the JSON. The load experiment drives a collector fleet (N cabd-agents
-// x M streams) through a mid-run server crash/restart, verifies zero
-// detection loss, probes the shed point, and writes -loadjson (default
-// BENCH_load.json). The stream experiment benchmarks the streaming path (per-point cost per
-// window, checkpoint/resume equality, many-stream memory bounds, the
-// stream registry over HTTP) and writes -streamjson (default
-// BENCH_stream.json); a stream resumed from a mid-stream checkpoint that
-// emits different detections than the uninterrupted stream fails the
-// run.
+// the JSON. The speed of the streaming, serving and batch paths is
+// measured by the repository benchmark (perfbench/), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"cabd/internal/experiments"
-	"cabd/internal/experiments/loadbench"
-	"cabd/internal/experiments/streambench"
 )
 
 type runner struct {
@@ -58,10 +48,6 @@ func main() {
 		"runtime snapshot output for fig11/obs ('' disables)")
 	metrics := flag.Bool("metrics", false,
 		"merge the obs recorder snapshot (counters, histograms) of the obs experiment into the runtime JSON")
-	loadJSON := flag.String("loadjson", "BENCH_load.json",
-		"collector-fleet benchmark output for the load experiment ('' disables)")
-	streamJSON := flag.String("streamjson", "BENCH_stream.json",
-		"streaming benchmark output for the stream experiment ('' disables)")
 	scenJSON := flag.String("scenjson", "BENCH_scenarios.json",
 		"taxonomy-grid benchmark output for the scenarios experiment ('' disables)")
 	smoke := flag.Bool("smoke", false,
@@ -158,57 +144,6 @@ func main() {
 				fmt.Fprintf(out, "taxonomy benchmark written to %s\n", *scenJSON)
 			}
 		}},
-		{"stream", "streaming path: per-point cost, checkpoint/resume equality, many-stream scale, stream registry over HTTP", func(sc experiments.Scale) {
-			cfg := streambench.StreamBenchConfig{}
-			if *full {
-				cfg = streambench.StreamBenchConfig{
-					Windows:   []int{64, 128, 256, 512, 1024},
-					HopsPer:   16,
-					Streams:   100000,
-					PerStream: 96,
-					Registry:  2048,
-					Conc:      32,
-				}
-			}
-			res := streambench.StreamBench(cfg)
-			streambench.PrintStream(out, res)
-			for _, c := range res.Cost {
-				if !c.ResumeEqual {
-					fmt.Fprintf(os.Stderr, "cabd-bench: stream experiment: window %d checkpoint/resume detections DIVERGED\n", c.Window)
-					os.Exit(1)
-				}
-			}
-			if *streamJSON != "" {
-				if err := streambench.WriteStreamJSON(*streamJSON, res); err != nil {
-					fmt.Fprintf(os.Stderr, "cabd-bench: writing %s: %v\n", *streamJSON, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(out, "streaming benchmark written to %s\n", *streamJSON)
-			}
-		}},
-		{"load", "collector fleet: N agents x M streams, shed point, zero-loss restart", func(sc experiments.Scale) {
-			cfg := loadbench.LoadConfig{}
-			if *full {
-				cfg = loadbench.LoadConfig{Agents: 8, Streams: 6, Values: 3000, RampMax: 64}
-			}
-			res, err := loadbench.LoadBench(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cabd-bench: load experiment: %v\n", err)
-				os.Exit(1)
-			}
-			loadbench.PrintLoad(out, res)
-			if !res.ZeroLoss {
-				fmt.Fprintf(os.Stderr, "cabd-bench: load experiment LOST %d detections\n", res.Lost)
-				os.Exit(1)
-			}
-			if *loadJSON != "" {
-				if err := loadbench.WriteLoadJSON(*loadJSON, res); err != nil {
-					fmt.Fprintf(os.Stderr, "cabd-bench: writing %s: %v\n", *loadJSON, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(out, "load benchmark written to %s\n", *loadJSON)
-			}
-		}},
 	}
 
 	if *list {
@@ -218,29 +153,20 @@ func main() {
 		return
 	}
 
-	ids := map[string]runner{}
-	var order []string
+	var selected []runner
 	for _, r := range runners {
-		ids[r.id] = r
-		order = append(order, r.id)
+		if *exp == "all" || *exp == r.id {
+			selected = append(selected, r)
+		}
 	}
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else if _, ok := ids[*exp]; ok {
-		selected = []string{*exp}
-	} else {
+	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "cabd-bench: unknown experiment %q (use -list)\n", *exp)
 		os.Exit(2)
 	}
-	sort.SliceStable(selected, func(a, b int) bool {
-		return indexOf(order, selected[a]) < indexOf(order, selected[b])
-	})
-	for _, id := range selected {
-		r := ids[id]
+	for _, r := range selected {
 		start := time.Now()
 		r.run(sc)
-		fmt.Fprintf(out, "  [%s completed in %.1fs]\n\n", id, time.Since(start).Seconds())
+		fmt.Fprintf(out, "  [%s completed in %.1fs]\n\n", r.id, time.Since(start).Seconds())
 	}
 	if *jsonPath != "" && !snap.Empty() {
 		if err := experiments.WriteRuntimeJSON(*jsonPath, snap); err != nil {
@@ -249,13 +175,4 @@ func main() {
 		}
 		fmt.Fprintf(out, "runtime snapshot written to %s\n", *jsonPath)
 	}
-}
-
-func indexOf(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }

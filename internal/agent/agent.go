@@ -93,9 +93,6 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Recorder exposes the agent's metrics recorder.
-func (a *Agent) Recorder() *obs.Recorder { return a.rec }
-
 // streamConfig builds the per-stream detector configuration.
 func (a *Agent) streamConfig() cabd.StreamConfig {
 	return cabd.StreamConfig{

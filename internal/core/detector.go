@@ -279,9 +279,11 @@ func (d *Detector) evaluate(ctx context.Context, cands []Candidate, n int, o Lab
 				queries >= minExplore && agreeStreak >= 3 {
 				break
 			}
+			// The labeler answers outside the span: on a server session
+			// its wait is a person's think time, not the round's compute.
+			lbl := o.Label(cands[pos].Index)
 			t.Do(obs.StageALRound, func() {
 				predicted := cands[pos].Class
-				lbl := o.Label(cands[pos].Index)
 				queries++
 				t.Add(obs.CounterOracleQueries, 1)
 				cands[pos].Queried = true
@@ -369,7 +371,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 		}
 	}
 	cfg := forest.Config{
-		Trees:      d.opts.Trees,
+		Trees:      trees,
 		MinLeaf:    3, // soft leaves: boundary candidates keep honest (<1) confidence
 		NumClasses: NumClasses,
 	}

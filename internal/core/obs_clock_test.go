@@ -6,6 +6,7 @@ import (
 
 	"cabd/internal/obs"
 	"cabd/internal/oracle"
+	"cabd/internal/series"
 	"cabd/internal/synth"
 )
 
@@ -62,16 +63,31 @@ func TestUnsupervisedStageTimingsFakeClock(t *testing.T) {
 	}
 }
 
-// TestActiveStageTimingsFakeClock runs the CAL loop against the simulated
-// oracle and checks the per-round span accounting: exactly one al_round
-// span and one oracle-query count per consumed label, with the total run
-// time equal to the five fixed stages plus one step per round.
+// slowLabeler answers from the simulated oracle after an hour on the
+// fake clock, as a person would at a server session's pending query.
+type slowLabeler struct {
+	*oracle.Oracle
+	clk *obs.FakeClock
+}
+
+func (l slowLabeler) Label(i int) series.Label {
+	l.clk.Advance(time.Hour)
+	return l.Oracle.Label(i)
+}
+
+// TestActiveStageTimingsFakeClock runs the CAL loop against a labeler
+// that takes an hour per answer and checks the per-round span
+// accounting: exactly one al_round span and one oracle-query count per
+// consumed label, with the total run time equal to the five fixed stages
+// plus one step per round. The labeler's wait is not the round's work.
 func TestActiveStageTimingsFakeClock(t *testing.T) {
 	const step = time.Millisecond
-	rec := stepRecorder(step)
+	clk := obs.NewFakeClock(time.Time{})
+	clk.SetStep(step)
+	rec := obs.NewWithClock(clk)
 	s := synth.YahooLike(7, 400)
 	o := oracle.New(s)
-	res := NewDetector(Options{Seed: 1, MaxQueries: 10, Obs: rec}).DetectActive(s, o)
+	res := NewDetector(Options{Seed: 1, MaxQueries: 10, Obs: rec}).DetectActive(s, slowLabeler{o, clk})
 	if res.Queries == 0 {
 		t.Fatal("active run consumed no labels; round assertions are vacuous")
 	}

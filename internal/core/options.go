@@ -61,6 +61,9 @@ const (
 // true labels steer the classifier.
 const labelWeight = 5
 
+// trees is the random-forest size.
+const trees = 100
+
 // Options configures a Detector. The zero value selects the paper's
 // defaults via defaults().
 type Options struct {
@@ -109,8 +112,6 @@ type Options struct {
 	// and allocates nothing.
 	Obs *obs.Recorder
 
-	// Trees is the random-forest size. Default 100.
-	Trees int
 	// Seed drives every stochastic component (forest bagging, GMM
 	// seeding) so runs are reproducible. Default 1.
 	Seed int64
@@ -136,9 +137,6 @@ func (o Options) defaults() Options {
 	}
 	if o.DegradeCandidates == 0 {
 		o.DegradeCandidates = 4096
-	}
-	if o.Trees <= 0 {
-		o.Trees = 100
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

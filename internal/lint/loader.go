@@ -95,9 +95,6 @@ func NewLoaderAt(root, modulePath string) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // ModulePath returns the module path the loader resolves against.
 func (l *Loader) ModulePath() string { return l.modulePath }
 

@@ -118,12 +118,3 @@ func PadPow2(xs []float64) []complex128 {
 	}
 	return out
 }
-
-// Abs returns the element-wise magnitudes of x.
-func Abs(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}

@@ -114,8 +114,8 @@ func TestPredictProbaBatchMatchesPerRow(t *testing.T) {
 	}
 	atProcs(func(procs int) {
 		batch := f.PredictProbaBatch(m, nil)
-		if len(batch) != m.N*f.NumClasses() {
-			t.Fatalf("batch length %d, want %d", len(batch), m.N*f.NumClasses())
+		if len(batch) != m.N*f.numClasses {
+			t.Fatalf("batch length %d, want %d", len(batch), m.N*f.numClasses)
 		}
 		for i := range probe {
 			if got := batch[i*3 : i*3+3]; !same(got, i) {
@@ -188,7 +188,7 @@ func sameBits(got, want []float64) bool {
 // of m, bit for bit.
 func checkTrainingProba(t *testing.T, f *Forest, m Matrix, full, oob []float64) {
 	t.Helper()
-	k := f.NumClasses()
+	k := f.numClasses
 	if len(full) != m.N*k || len(oob) != m.N*k {
 		t.Fatalf("TrainingProba lengths %d and %d, want %d", len(full), len(oob), m.N*k)
 	}

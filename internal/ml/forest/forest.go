@@ -96,16 +96,12 @@ func (t tree) leafFor(x []float64) []float64 {
 	return t.nodes[at].Probs
 }
 
-// Train fits a forest on X (rows are feature vectors) and y (class ids in
-// [0, cfg.NumClasses)). rng drives bootstrap and feature sampling; pass a
-// seeded source for reproducibility. Returns nil when the input is empty.
-func Train(X [][]float64, y []int, cfg Config, rng *rand.Rand) *Forest {
-	return TrainWeighted(X, y, nil, cfg, rng)
-}
-
-// TrainWeighted is Train with per-row sampling weights: each bootstrap
-// draw picks row i with probability weights[i]/sum(weights). nil weights
-// are uniform. Rows with higher weight steer the ensemble the way
+// TrainWeighted fits a forest on X (rows are feature vectors) and y
+// (class ids in [0, cfg.NumClasses)) with per-row sampling weights: each
+// bootstrap draw picks row i with probability weights[i]/sum(weights).
+// nil weights are uniform. rng drives bootstrap and feature sampling;
+// pass a seeded source for reproducibility. Returns nil when the input
+// is empty. Rows with higher weight steer the ensemble the way
 // replicating them would, while keeping one row per example so out-of-bag
 // estimates stay meaningful.
 func TrainWeighted(X [][]float64, y []int, weights []float64, cfg Config, rng *rand.Rand) *Forest {
@@ -679,6 +675,3 @@ func (f *Forest) Predict(x []float64) int {
 	}
 	return bi
 }
-
-// NumClasses returns the size of the label space the forest was trained on.
-func (f *Forest) NumClasses() int { return f.numClasses }

@@ -23,7 +23,7 @@ func xorData(rng *rand.Rand, n int) ([][]float64, []int) {
 func TestXORAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := xorData(rng, 400)
-	f := Train(X, y, Config{Trees: 60, NumClasses: 2}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 60, NumClasses: 2}, rng)
 	Xt, yt := xorData(rng, 200)
 	correct := 0
 	for i, x := range Xt {
@@ -49,7 +49,7 @@ func TestThreeClassSeparation(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	f := Train(X, y, Config{Trees: 40, NumClasses: 3}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 40, NumClasses: 3}, rng)
 	for c, ctr := range centers {
 		if got := f.Predict(ctr); got != c {
 			t.Errorf("center %d predicted as %d", c, got)
@@ -64,7 +64,7 @@ func TestThreeClassSeparation(t *testing.T) {
 func TestProbaSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X, y := xorData(rng, 100)
-	f := Train(X, y, Config{Trees: 20, NumClasses: 2}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 20, NumClasses: 2}, rng)
 	for trial := 0; trial < 50; trial++ {
 		p := f.PredictProba([]float64{rng.Float64(), rng.Float64()})
 		var s float64
@@ -86,7 +86,7 @@ func TestTinyTrainingSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X := [][]float64{{0, 0, 0}, {1, 1, 1}}
 	y := []int{0, 2}
-	f := Train(X, y, Config{Trees: 30, NumClasses: 3}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 30, NumClasses: 3}, rng)
 	if f == nil {
 		t.Fatal("tiny training set returned nil")
 	}
@@ -102,7 +102,7 @@ func TestSingleClassTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X := [][]float64{{0}, {1}, {2}}
 	y := []int{1, 1, 1}
-	f := Train(X, y, Config{Trees: 10, NumClasses: 3}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 10, NumClasses: 3}, rng)
 	p := f.PredictProba([]float64{5})
 	if p[1] != 1 {
 		t.Errorf("single-class proba = %v", p)
@@ -111,21 +111,21 @@ func TestSingleClassTraining(t *testing.T) {
 
 func TestEmptyAndInvalidInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	if f := Train(nil, nil, Config{NumClasses: 2}, rng); f != nil {
+	if f := TrainWeighted(nil, nil, nil, Config{NumClasses: 2}, rng); f != nil {
 		t.Error("empty training should return nil")
 	}
-	if f := Train([][]float64{{1}}, []int{0, 1}, Config{NumClasses: 2}, rng); f != nil {
+	if f := TrainWeighted([][]float64{{1}}, []int{0, 1}, nil, Config{NumClasses: 2}, rng); f != nil {
 		t.Error("mismatched lengths should return nil")
 	}
-	if f := Train([][]float64{{1}}, []int{0}, Config{}, rng); f != nil {
+	if f := TrainWeighted([][]float64{{1}}, []int{0}, nil, Config{}, rng); f != nil {
 		t.Error("zero classes should return nil")
 	}
 }
 
 func TestDeterminismWithSeed(t *testing.T) {
 	X, y := xorData(rand.New(rand.NewSource(7)), 100)
-	f1 := Train(X, y, Config{Trees: 15, NumClasses: 2}, rand.New(rand.NewSource(8)))
-	f2 := Train(X, y, Config{Trees: 15, NumClasses: 2}, rand.New(rand.NewSource(8)))
+	f1 := TrainWeighted(X, y, nil, Config{Trees: 15, NumClasses: 2}, rand.New(rand.NewSource(8)))
+	f2 := TrainWeighted(X, y, nil, Config{Trees: 15, NumClasses: 2}, rand.New(rand.NewSource(8)))
 	probe := []float64{0.3, 0.8}
 	p1, p2 := f1.PredictProba(probe), f2.PredictProba(probe)
 	if p1[0] != p2[0] || p1[1] != p2[1] {
@@ -138,7 +138,7 @@ func TestConstantFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	y := []int{0, 1, 0, 1}
-	f := Train(X, y, Config{Trees: 10, NumClasses: 2}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 10, NumClasses: 2}, rng)
 	p := f.PredictProba([]float64{1, 1})
 	if math.Abs(p[0]+p[1]-1) > 1e-9 {
 		t.Errorf("constant-feature proba = %v", p)
@@ -150,7 +150,7 @@ func BenchmarkTrain(b *testing.B) {
 	X, y := xorData(rng, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Train(X, y, Config{Trees: 50, NumClasses: 2}, rand.New(rand.NewSource(2)))
+		TrainWeighted(X, y, nil, Config{Trees: 50, NumClasses: 2}, rand.New(rand.NewSource(2)))
 	}
 }
 
@@ -214,7 +214,7 @@ func BenchmarkTrainingRound(b *testing.B) {
 func BenchmarkPredictProba(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := xorData(rng, 500)
-	f := Train(X, y, Config{Trees: 50, NumClasses: 2}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 50, NumClasses: 2}, rng)
 	probe := []float64{0.4, 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,7 +249,7 @@ func TestWeightedSamplingBiasesBootstrap(t *testing.T) {
 	// Giving one class heavy weight must raise its predicted probability.
 	X := [][]float64{{0}, {0.01}, {0.02}, {1}, {1.01}}
 	y := []int{0, 0, 0, 1, 1}
-	flat := Train(X, y, Config{Trees: 40, NumClasses: 2}, rand.New(rand.NewSource(13)))
+	flat := TrainWeighted(X, y, nil, Config{Trees: 40, NumClasses: 2}, rand.New(rand.NewSource(13)))
 	heavy := TrainWeighted(X, y, []float64{1, 1, 1, 20, 20},
 		Config{Trees: 40, NumClasses: 2}, rand.New(rand.NewSource(13)))
 	probe := []float64{0.5}

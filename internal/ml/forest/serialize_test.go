@@ -20,7 +20,7 @@ func trainFixture(t testing.TB) ([][]float64, *Forest) {
 		})
 		y = append(y, cls)
 	}
-	f := Train(X, y, Config{Trees: 25, NumClasses: 3}, rng)
+	f := TrainWeighted(X, y, nil, Config{Trees: 25, NumClasses: 3}, rng)
 	if f == nil {
 		t.Fatal("Train returned nil")
 	}

@@ -70,17 +70,6 @@ func (s *Series) AnomalyIndices() []int {
 	return out
 }
 
-// ChangePointIndices returns the indices labeled as change points.
-func (s *Series) ChangePointIndices() []int {
-	var out []int
-	for i, l := range s.Labels {
-		if l == series.ChangePoint {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Detector runs multivariate CABD. Options are the univariate option set
 // and every Strategy is honoured.
 type Detector struct {
@@ -91,9 +80,6 @@ type Detector struct {
 func NewDetector(opts core.Options) *Detector {
 	return &Detector{core: core.NewDetector(opts)}
 }
-
-// Options returns the resolved option set.
-func (d *Detector) Options() core.Options { return d.core.Options() }
 
 // Detect runs the unsupervised multivariate pipeline.
 func (d *Detector) Detect(s *Series) *core.Result {

@@ -138,25 +138,8 @@ func TestSeriesAccessors(t *testing.T) {
 	if len(s.AnomalyIndices()) == 0 {
 		t.Error("no anomalies recorded")
 	}
-	if cps := s.ChangePointIndices(); len(cps) != 0 {
-		t.Errorf("change points %v, the fixture has none", cps)
-	}
-	s.Labels[7] = series.ChangePoint
-	if cps := s.ChangePointIndices(); !reflect.DeepEqual(cps, []int{7}) {
-		t.Errorf("change points %v, want [7]", cps)
-	}
 	if e := NewSeries("e", nil); e.Len() != 0 || len(e.Dims) != 0 {
 		t.Errorf("empty series Len/D = %d/%d", e.Len(), len(e.Dims))
-	}
-}
-
-// TestOptionsResolved: the detector reports the resolved option set,
-// defaults filled in and explicit fields kept.
-func TestOptionsResolved(t *testing.T) {
-	got := NewDetector(core.Options{Strategy: core.FixedKNN}).Options()
-	want := core.NewDetector(core.Options{Strategy: core.FixedKNN}).Options()
-	if got != want || got.Strategy != core.FixedKNN || got.CandidateZ == 0 {
-		t.Errorf("Options() = %+v, want %+v", got, want)
 	}
 }
 

@@ -32,6 +32,3 @@ func (o *Oracle) Queries() int { return len(o.queries) }
 func (o *Oracle) QueriedIndices() []int {
 	return append([]int(nil), o.queries...)
 }
-
-// Reset clears the interaction counter.
-func (o *Oracle) Reset() { o.queries = o.queries[:0] }

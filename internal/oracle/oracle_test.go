@@ -36,16 +36,6 @@ func TestOracleUnlabeledSeries(t *testing.T) {
 	}
 }
 
-func TestOracleReset(t *testing.T) {
-	s := series.New("x", make([]float64, 3))
-	o := New(s)
-	o.Label(0)
-	o.Reset()
-	if o.Queries() != 0 {
-		t.Errorf("Queries after reset = %d", o.Queries())
-	}
-}
-
 func TestQueriedIndicesIsCopy(t *testing.T) {
 	s := series.New("x", make([]float64, 3))
 	o := New(s)

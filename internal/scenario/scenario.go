@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"cabd/internal/faultgen"
-	"cabd/internal/multi"
 	"cabd/internal/synth"
 )
 
@@ -61,11 +60,6 @@ type Scenario struct {
 	Dims  [][]float64
 	Clean [][]float64
 	Truth []int
-}
-
-// Series wraps the corrupted channels as a multi.Series.
-func (s *Scenario) Series() *multi.Series {
-	return multi.NewSeries(s.Name, s.Dims)
 }
 
 // Grid declares the taxonomy to expand. Zero-value fields take the

@@ -125,14 +125,6 @@ func (s *Series) Points() [][2]float64 {
 	return pts
 }
 
-// Dist returns the Euclidean distance between two 2-D points
-// (Definition 2).
-func Dist(p, q [2]float64) float64 {
-	dx := p[0] - q[0]
-	dy := p[1] - q[1]
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // FirstDiff returns the absolute first difference |x_i - x_{i-1}|
 // (Definition 5 numbering in the paper text; Equation 5). Element 0 is 0.
 func FirstDiff(xs []float64) []float64 {
@@ -153,19 +145,4 @@ func SecondDiff(xs []float64) []float64 {
 		out[i] = math.Abs(d[i] - d[i-1])
 	}
 	return out
-}
-
-// Window returns the half-open slice of values clamped to the series
-// bounds: values[max(0,lo):min(n,hi)].
-func (s *Series) Window(lo, hi int) []float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.Values) {
-		hi = len(s.Values)
-	}
-	if lo >= hi {
-		return nil
-	}
-	return s.Values[lo:hi]
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLabelString(t *testing.T) {
@@ -75,15 +74,6 @@ func TestPointsEmbedding(t *testing.T) {
 	}
 }
 
-func TestDist(t *testing.T) {
-	if got := Dist([2]float64{0, 0}, [2]float64{3, 4}); got != 5 {
-		t.Errorf("Dist = %v, want 5", got)
-	}
-	if got := Dist([2]float64{1, 1}, [2]float64{1, 1}); got != 0 {
-		t.Errorf("self distance = %v", got)
-	}
-}
-
 func TestDiffs(t *testing.T) {
 	xs := []float64{1, 3, 2, 2, 10}
 	d1 := FirstDiff(xs)
@@ -116,45 +106,6 @@ func TestSecondDiffSpikeResponse(t *testing.T) {
 	}
 	if d2[5] != 0 {
 		t.Error("flat region should have zero second diff")
-	}
-}
-
-func TestWindowClamping(t *testing.T) {
-	s := New("x", []float64{0, 1, 2, 3, 4})
-	if w := s.Window(-3, 2); len(w) != 2 || w[0] != 0 {
-		t.Errorf("Window(-3,2) = %v", w)
-	}
-	if w := s.Window(3, 99); len(w) != 2 || w[1] != 4 {
-		t.Errorf("Window(3,99) = %v", w)
-	}
-	if w := s.Window(4, 2); w != nil {
-		t.Errorf("inverted window = %v", w)
-	}
-}
-
-// Property: Dist is a metric (symmetry, identity, triangle inequality).
-func TestDistMetricProperty(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy float64) bool {
-		clamp := func(v float64) float64 {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0
-			}
-			return math.Mod(v, 1e6)
-		}
-		a := [2]float64{clamp(ax), clamp(ay)}
-		b := [2]float64{clamp(bx), clamp(by)}
-		c := [2]float64{clamp(cx), clamp(cy)}
-		dab, dba := Dist(a, b), Dist(b, a)
-		if dab != dba {
-			return false
-		}
-		if Dist(a, a) != 0 {
-			return false
-		}
-		return Dist(a, c) <= dab+Dist(b, c)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"encoding/json"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -160,52 +158,12 @@ func TestDegradedSurfacesOnDetections(t *testing.T) {
 	}
 }
 
-// TestStateResumeDropPolicy is the satellite-4 round trip: checkpoint
-// mid-stream while the Drop policy is discarding faultgen-injected bad
-// values, resume, and the tail must match the uninterrupted run
-// detection-for-detection.
+// TestStateResumeDropPolicy is the checkpoint round trip while the Drop
+// policy is discarding faultgen-injected bad values: the resumed stream
+// must match the uninterrupted run detection for detection.
 func TestStateResumeDropPolicy(t *testing.T) {
 	s := synth.Generate(synth.Config{N: 900, Seed: 17, SingleFrac: 0.02, ChangeFrac: 0.01})
-	rng := rand.New(rand.NewSource(23))
-	vals, _ := faultgen.Chaos(rng, s.Values) // NaN runs + extremes land mid-stream
-
-	cfg := Config{Window: 128, Hop: 16, Margin: 8, BadValue: sanitize.Drop,
-		Options: core.Options{Seed: 5}}
-	full := New(cfg)
-	cut := len(vals) / 2
-	var wantTail []Detection
-	for i, v := range vals {
-		dets := full.Push(v)
-		if i >= cut {
-			wantTail = append(wantTail, dets...)
-		}
-	}
-	wantTail = append(wantTail, full.Flush()...)
-
-	half := New(cfg)
-	for _, v := range vals[:cut] {
-		half.Push(v)
-	}
-	buf, err := json.Marshal(half.State())
-	if err != nil {
-		t.Fatalf("marshal state: %v", err)
-	}
-	var st State
-	if err := json.Unmarshal(buf, &st); err != nil {
-		t.Fatalf("unmarshal state: %v", err)
-	}
-	resumed := Resume(cfg, st)
-
-	var gotTail []Detection
-	for _, v := range vals[cut:] {
-		gotTail = append(gotTail, resumed.Push(v)...)
-	}
-	gotTail = append(gotTail, resumed.Flush()...)
-	if !reflect.DeepEqual(gotTail, wantTail) {
-		t.Fatalf("resumed tail diverged:\ngot  %v\nwant %v", gotTail, wantTail)
-	}
-	if resumed.Total() != full.Total() || resumed.Bad() != full.Bad() {
-		t.Fatalf("counters diverged: total %d/%d bad %d/%d",
-			resumed.Total(), full.Total(), resumed.Bad(), full.Bad())
-	}
+	vals, _ := faultgen.Chaos(rand.New(rand.NewSource(23)), s.Values) // NaN runs + extremes land mid-stream
+	checkResume(t, Config{Window: 128, Hop: 16, Margin: 8, BadValue: sanitize.Drop,
+		Options: core.Options{Seed: 5}}, vals)
 }

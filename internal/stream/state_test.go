@@ -2,11 +2,14 @@ package stream
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"cabd/internal/core"
+	"cabd/internal/faultgen"
 	"cabd/internal/synth"
 )
 
@@ -20,29 +23,55 @@ func streamCfg() Config {
 	}
 }
 
-// TestStateResumeEquivalence is the checkpoint contract: push half a
-// series, snapshot through a JSON round trip, resume, push the rest —
-// and every downstream detection (and every counter) must match the
-// uninterrupted run exactly.
+// TestStateResumeEquivalence is the checkpoint contract the agent's
+// crash recovery rests on: push half a series, snapshot through a JSON
+// round trip, resume, push the rest — and the whole detection sequence
+// and every counter must match the uninterrupted run exactly. Besides a
+// synthetic series with a NaN, the cases are corrupted streams at three
+// window sizes: a YahooLike series through the fault injector, so the
+// detector sees NaN runs, spikes and stuck-at runs on top of real
+// anomalies.
 func TestStateResumeEquivalence(t *testing.T) {
 	s := synth.Generate(synth.Config{N: 600, Seed: 9, SingleFrac: 0.02, ChangeFrac: 0.01})
-	vals := s.Values
-	vals[100] = math.NaN() // exercise the imputation state too
-	cut := len(vals) / 2
-
-	full := New(streamCfg())
-	var wantTail []Detection
-	for i, v := range vals {
-		dets := full.Push(v)
-		if i >= cut {
-			wantTail = append(wantTail, dets...)
-		}
+	s.Values[100] = math.NaN() // exercise the imputation state too
+	type resumeCase struct {
+		name string
+		cfg  Config
+		vals []float64
 	}
-	wantTail = append(wantTail, full.Flush()...)
+	cases := []resumeCase{{"synthetic", streamCfg(), s.Values}}
+	for _, w := range []int{64, 128, 256} {
+		vals, _ := faultgen.Chaos(rand.New(rand.NewSource(11*7919)), synth.YahooLike(11, 12*w).Values)
+		cases = append(cases, resumeCase{fmt.Sprintf("chaos-window-%d", w),
+			Config{Window: w, Hop: w / 8, Margin: w / 16, Options: core.Options{Seed: 42}}, vals})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkResume(t, tc.cfg, tc.vals) })
+	}
+}
 
-	half := New(streamCfg())
+// checkResume runs vals through one uninterrupted detector and through
+// one checkpointed halfway (State through JSON, then Resume) and fails
+// unless both emit the same detections, Flush included, and end with the
+// same Total and Bad counters. An uninterrupted run that emits nothing
+// proves nothing, so it fails too.
+func checkResume(t *testing.T, cfg Config, vals []float64) {
+	t.Helper()
+	full := New(cfg)
+	var want []Detection
+	for _, v := range vals {
+		want = append(want, full.Push(v)...)
+	}
+	want = append(want, full.Flush()...)
+	if len(want) == 0 {
+		t.Fatal("the uninterrupted stream emitted no detections; the case proves nothing")
+	}
+
+	cut := len(vals) / 2
+	half := New(cfg)
+	var got []Detection
 	for _, v := range vals[:cut] {
-		half.Push(v)
+		got = append(got, half.Push(v)...)
 	}
 	buf, err := json.Marshal(half.State())
 	if err != nil {
@@ -52,16 +81,14 @@ func TestStateResumeEquivalence(t *testing.T) {
 	if err := json.Unmarshal(buf, &st); err != nil {
 		t.Fatalf("unmarshal state: %v", err)
 	}
-	resumed := Resume(streamCfg(), st)
-
-	var gotTail []Detection
+	resumed := Resume(cfg, st)
 	for _, v := range vals[cut:] {
-		gotTail = append(gotTail, resumed.Push(v)...)
+		got = append(got, resumed.Push(v)...)
 	}
-	gotTail = append(gotTail, resumed.Flush()...)
+	got = append(got, resumed.Flush()...)
 
-	if !reflect.DeepEqual(gotTail, wantTail) {
-		t.Fatalf("resumed tail detections diverged:\ngot  %v\nwant %v", gotTail, wantTail)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed detections diverged:\ngot  %v\nwant %v", got, want)
 	}
 	if resumed.Total() != full.Total() || resumed.Bad() != full.Bad() {
 		t.Fatalf("counters diverged: total %d/%d bad %d/%d",

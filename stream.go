@@ -1,35 +1,15 @@
 package cabd
 
-import (
-	"time"
+import "cabd/internal/stream"
 
-	"cabd/internal/stream"
-)
-
-// StreamConfig parameterizes a streaming detector.
-type StreamConfig struct {
-	// Window is the sliding analysis window length (default 1024).
-	Window int
-	// Hop is how many new observations trigger a re-analysis (default
-	// Window/8). Detection latency is bounded by Hop + Margin.
-	Hop int
-	// Margin is the trailing uncertainty zone: the freshest points wait
-	// one more hop before their detections are emitted (default 16).
-	Margin int
-	// BadValue selects how Push treats NaN, ±Inf and out-of-range
-	// observations: SanitizeInterpolate (default) imputes the last good
-	// value so the analysis window is never corrupted; SanitizeDrop
-	// discards the observation — indices then refer to the accepted
-	// substream. Bad() reports how many observations were intercepted.
-	BadValue SanitizePolicy
-	// HopTimeout bounds one per-hop analysis. Zero means no bound. An
-	// analysis under deadline pressure degrades to the cheaper scoring
-	// strategy (emitted detections carry Degraded); one that still
-	// overruns is abandoned for the hop and retried on the next.
-	HopTimeout time.Duration
-	// Options configures the underlying detector.
-	Options Options
-}
+// StreamConfig parameterizes a streaming detector: the analysis Window
+// (default 1024), the Hop of new observations that triggers a
+// re-analysis (default Window/8; detection latency is bounded by Hop +
+// Margin), the trailing uncertainty Margin (default 16), the BadValue
+// policy for NaN, ±Inf and out-of-range observations (SanitizeDrop makes
+// indices refer to the accepted substream), the per-hop HopTimeout (zero
+// means no bound) and the detector Options.
+type StreamConfig = stream.Config
 
 // StreamDetection is one detection emitted by a StreamDetector, carrying
 // the observation's global position in the stream.
@@ -50,18 +30,7 @@ type StreamDetector struct {
 
 // NewStream returns a streaming detector.
 func NewStream(cfg StreamConfig) *StreamDetector {
-	return &StreamDetector{inner: stream.New(streamConfig(cfg))}
-}
-
-func streamConfig(cfg StreamConfig) stream.Config {
-	return stream.Config{
-		Window:     cfg.Window,
-		Hop:        cfg.Hop,
-		Margin:     cfg.Margin,
-		BadValue:   cfg.BadValue,
-		HopTimeout: cfg.HopTimeout,
-		Options:    cfg.Options,
-	}
+	return &StreamDetector{inner: stream.New(cfg)}
 }
 
 // StreamState is the serializable snapshot of a StreamDetector: window
@@ -77,7 +46,7 @@ func (d *StreamDetector) State() StreamState { return d.inner.State() }
 // ResumeStream rebuilds a streaming detector from a checkpointed state
 // under cfg.
 func ResumeStream(cfg StreamConfig, st StreamState) *StreamDetector {
-	return &StreamDetector{inner: stream.Resume(streamConfig(cfg), st)}
+	return &StreamDetector{inner: stream.Resume(cfg, st)}
 }
 
 // Push appends one observation and returns any newly confirmed
